@@ -10,8 +10,6 @@ from __future__ import annotations
 import inspect
 from dataclasses import replace
 
-import numpy as np
-
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch
 from .data import default_classes
 from .errors import ConfigError, ShapeError
@@ -200,11 +198,3 @@ class CmrcAugmenter(_ParamsMixin):
     def fit_transform(self, records, y=None):
         return self.fit(records).transform(records)
 
-
-def class_frequencies(records, n_classes: int) -> np.ndarray:
-    """Per-class share of videos whose label carries the class."""
-    counts = np.zeros(n_classes)
-    for r in records:
-        counts += np.asarray(r.video_label) != 0
-    total = counts.sum()
-    return counts / total if total else counts

@@ -88,8 +88,3 @@ class MLP(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(tt.relu(self.fc1(x)))
-
-    def zero_(self) -> None:
-        """Zero all weights and biases (turns the map into a constant zero)."""
-        for p in self.parameters().values():
-            p.data[...] = 0.0

@@ -1,10 +1,11 @@
 """Selective state-space scan kernels and the Mamba-style block.
 
 The sequential scan is composed from primitive autodiff ops and serves as the
-ground-truth oracle. The parallel variant runs an associative prefix scan in
-raw numpy inside a single fused graph node with a hand-derived adjoint; it is
-the engine the model trains with. Backward and dynamic scans are defined as
-compositions (reversal / soft mixture over cyclic rotations) of either engine.
+ground-truth oracle. The fused engine (``engine="parallel"``) runs each scan as
+one graph node with a hand-derived adjoint on one in-place sequential kernel,
+:func:`linear_scan`; the model trains with it. The backward scan reverses the
+input; the dynamic scan soft-mixes every cyclic start position, fused in O(T)
+on the sequence unrolled twice, or composed term by term as the oracle.
 """
 
 from __future__ import annotations
@@ -118,30 +119,26 @@ def scan_compose(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.ndarr
     return a1 * a2, a2 * b1 + b2
 
 
-def linear_scan_parallel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inclusive prefix scan of ``h_t = a_t h_{t-1} + b_t`` (h_{-1} = 0).
-
-    Hillis-Steele doubling along axis 0; O(T log T) element operations but
-    fully vectorized over the trailing axes.
-    """
-    a = a.copy()
-    b = b.copy()
-    t_len = a.shape[0]
-    offset = 1
-    while offset < t_len:
-        b[offset:] = b[offset:] + a[offset:] * b[:-offset]
-        a[offset:] = a[offset:] * a[:-offset]
-        offset *= 2
-    return b
+def linear_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inclusive scan of ``h_t = a_t h_{t-1} + b_t`` along axis 0 (h_{-1} = 0),
+    one in-place O(T) sweep; ``a`` broadcasts against ``b`` at every step."""
+    h = np.empty_like(b)
+    h[0] = b[0]
+    for t in range(1, b.shape[0]):
+        np.multiply(a[t], h[t - 1], out=h[t])
+        h[t] += b[t]
+    return h
 
 
-def linear_scan_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    h = np.zeros_like(b[0])
-    out = np.empty_like(b)
-    for t in range(b.shape[0]):
-        h = a[t] * h + b[t]
-        out[t] = h
-    return out
+def linear_scan_adjoint(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Reverse sweep ``dh_t = g_t + a_{t+1} dh_{t+1}``: the gradient of
+    :func:`linear_scan`'s input ``b`` given the gradient ``g`` of its output."""
+    dh = np.empty_like(g)
+    dh[-1] = g[-1]
+    for t in range(g.shape[0] - 2, -1, -1):
+        np.multiply(a[t + 1], dh[t + 1], out=dh[t])
+        dh[t] += g[t]
+    return dh
 
 
 def _scan_primitive(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
@@ -164,105 +161,104 @@ def _scan_primitive(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
     return y + d_skip * u
 
 
-def _scan_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
-                a_log: Tensor, d_skip: Tensor) -> Tensor:
-    """Single graph node: parallel-scan forward, hand-derived adjoint backward."""
-    ud, dd = u.data, delta.data
-    bd, cd = b_coef.data, c_coef.data
+def _discretize_arrays(u: Tensor, delta: Tensor, b_coef: Tensor, a_log: Tensor):
+    """``(A, A_bar, B_bar u)`` as raw arrays for the fused nodes."""
+    dd = delta.data
     a_neg = -np.exp(a_log.data)  # [D, N]
     da = np.exp(dd[:, :, None] * a_neg[None])  # [T, D, N]
-    bu = dd[:, :, None] * bd[:, None, :] * ud[:, :, None]
-    h = linear_scan_parallel(da, bu)  # [T, D, N]
-    y = np.einsum("tdn,tn->td", h, cd) + d_skip.data[None, :] * ud
+    bu = (dd * u.data)[:, :, None] * b_coef.data[:, None, :]
+    return a_neg, da, bu
+
+
+def _fused_backward(inputs, a_neg: np.ndarray, gy: np.ndarray, h_read: np.ndarray,
+                    skip_w: float, g_z: np.ndarray, g_bu: np.ndarray) -> None:
+    """Chain a fused node's gradients back to ``(u, delta, B, C, a_log, D)``:
+    ``C`` reads out ``h_read``, ``skip_w`` weights ``D u``, and ``g_z`` / ``g_bu``
+    are the gradients w.r.t. the decay exponent ``delta A`` and ``delta B u``."""
+    u, delta, b_coef, c_coef, a_log, d_skip = inputs
+    ud, dd = u.data, delta.data
+    dh_b = np.einsum("tdn,tn->td", g_bu, b_coef.data)
+    u._accumulate(dh_b * dd + skip_w * d_skip.data[None, :] * gy)
+    delta._accumulate(np.einsum("tdn,dn->td", g_z, a_neg) + dh_b * ud)
+    b_coef._accumulate(np.einsum("tdn,td->tn", g_bu, dd * ud))
+    c_coef._accumulate(np.einsum("td,tdn->tn", gy, h_read))
+    a_log._accumulate(np.einsum("tdn,td->dn", g_z, dd) * a_neg)
+    d_skip._accumulate(skip_w * (gy * ud).sum(0))
+
+
+def _scan_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
+                a_log: Tensor, d_skip: Tensor) -> Tensor:
+    """Single graph node: fused-kernel forward, hand-derived adjoint backward."""
+    inputs = (u, delta, b_coef, c_coef, a_log, d_skip)
+    cd = c_coef.data
+    a_neg, da, bu = _discretize_arrays(u, delta, b_coef, a_log)
+    h = linear_scan(da, bu)  # [T, D, N]
+    y = np.einsum("tdn,tn->td", h, cd) + d_skip.data[None, :] * u.data
 
     def backward():
         gy = out.grad
-        t_len = ud.shape[0]
-        # adjoint of the recurrence, computed by a reverse sweep
-        dh = np.empty_like(h)
-        carry = np.zeros_like(h[0])
-        for t in range(t_len - 1, -1, -1):
-            dh[t] = gy[t][:, None] * cd[t][None, :] + carry
-            carry = da[t] * dh[t]
-        g_da = np.empty_like(h)
-        g_da[0] = 0.0
-        np.multiply(dh[1:], h[:-1], out=g_da[1:])
-        g_da *= da  # gradient through the exp argument of the decay
-        dh_b = np.einsum("tdn,tn->td", dh, bd)
-        g_delta = np.einsum("tdn,dn->td", g_da, a_neg) + dh_b * ud
-        g_u = dh_b * dd + d_skip.data[None, :] * gy
-        g_b = np.einsum("tdn,td->tn", dh, dd * ud)
-        g_c = np.einsum("td,tdn->tn", gy, h)
-        u._accumulate(g_u)
-        delta._accumulate(g_delta)
-        b_coef._accumulate(g_b)
-        c_coef._accumulate(g_c)
-        a_log._accumulate(np.einsum("tdn,td->dn", g_da, dd) * a_neg)
-        d_skip._accumulate((gy * ud).sum(0))
+        dh = linear_scan_adjoint(da, gy[:, :, None] * cd[:, None, :])
+        g_z = np.zeros_like(h)  # gradient through the exp argument of the decay
+        g_z[1:] = dh[1:] * h[:-1] * da[1:]
+        _fused_backward(inputs, a_neg, gy, h, 1.0, g_z, dh)
 
-    out = tt._make(y, (u, delta, b_coef, c_coef, a_log, d_skip), backward)
+    out = tt._make(y, inputs, backward)
     return out
 
 
 def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
                probs: Tensor, a_log: Tensor, d_skip: Tensor) -> Tensor:
-    """Whole dynamic mixture as one node.
+    """Whole dynamic mixture as one node, O(T) on the sequence unrolled twice.
 
-    The per-step decay and input arrays are discretized once and gathered
-    into all T cyclic rotations; the recurrence then runs as a single
-    rotation-batched sweep. One graph node replaces T scans plus glue.
+    On the unrolled length-2T sequence, input ``k`` reaches the state at
+    ``t + T`` (``t < T``) from every start in ``(t, k]``, i.e. with weight
+    ``CP(k) - CP(t)`` where ``CP`` is the cumulative sum of ``probs``. Hence
+
+        h_dyn(t) = sum_{k in (t, t+T]} A_bar(k -> t+T) B_bar u_k (CP(k) - CP(t))
+                 = W2(t) - CP(t) W1(t),   Wi(t) = Hi(t+T) - P_all Hi(t),
+
+    with ``H1``, ``H2`` the prefix scans of ``B_bar u`` and ``CP B_bar u`` over
+    the 2T steps and ``P_all = exp(sum_t delta_t A)`` the decay over one cycle.
+    The output ``C h_dyn + sum(probs) D u`` is linear in ``probs``, like the
+    term-by-term mixture.
     """
-    ud, dd, bd, cd, pd = u.data, delta.data, b_coef.data, c_coef.data, probs.data
+    inputs = (u, delta, b_coef, c_coef, a_log, d_skip)
+    ud, dd, cd, pd = u.data, delta.data, c_coef.data, probs.data
     t_len = ud.shape[0]
-    srange = np.arange(t_len)
-    idx = (srange[None, :] + srange[:, None]) % t_len  # idx[s, t] = (t + s) % T
-    inv_idx = (srange[None, :] - srange[:, None]) % t_len
-    rows = srange[:, None]
-    a_neg = -np.exp(a_log.data)
-    da_base = np.exp(dd[:, :, None] * a_neg[None])  # [T, D, N]
-    bu_base = (dd * ud)[:, :, None] * bd[:, None, :]
-    da = da_base[idx]  # [S, T, D, N], rotation-gathered
-    bu = bu_base[idx]
-    c_rot = cd[idx]
-    u_rot = ud[idx]
-    h = np.empty_like(bu)
-    acc = np.zeros_like(bu[:, 0])
-    for t in range(t_len):
-        acc = da[:, t] * acc + bu[:, t]
-        h[:, t] = acc
-    y_rot = np.einsum("stdn,stn->std", h, c_rot) + d_skip.data * u_rot
-    y_un = y_rot[rows, inv_idx]  # rotation undone per start position
-    out_data = np.einsum("s,std->td", pd, y_un)
+    a_neg, da, bu = _discretize_arrays(u, delta, b_coef, a_log)
+    cp = np.cumsum(np.concatenate([pd, pd]))  # [2T]
+    da2 = np.concatenate([da, da])[:, None]  # [2T, 1, D, N]
+    bu2 = np.concatenate([bu, bu])
+    hs = linear_scan(da2, np.stack([bu2, cp[:, None, None] * bu2], axis=1))  # [2T, 2, D, N]
+    p_all = np.exp(dd.sum(0)[:, None] * a_neg)  # [D, N]
+    w = hs[t_len:] - p_all * hs[:t_len]  # [T, 2, D, N]
+    cp_t = cp[:t_len, None, None]
+    h_dyn = w[:, 1] - cp_t * w[:, 0]
+    skip_w = pd.sum()
+    y = np.einsum("tdn,tn->td", h_dyn, cd) + skip_w * d_skip.data[None, :] * ud
 
     def backward():
-        g = out.grad
-        d_rot = dd[idx]
-        b_rot = bd[idx]
-        g_yrot = pd[:, None, None] * g[idx]
-        dh = np.empty_like(h)
-        carry = np.zeros_like(h[:, 0])
-        for t in range(t_len - 1, -1, -1):
-            dh[:, t] = g_yrot[:, t, :, None] * c_rot[:, t, None, :] + carry
-            carry = da[:, t] * dh[:, t]
-        # gradient through the exp argument of the decay: dh * h_prev * da
-        g_da = np.empty_like(h)
-        g_da[:, 0] = 0.0
-        np.multiply(dh[:, 1:], h[:, :-1], out=g_da[:, 1:])
-        g_da *= da
-        dh_b = np.einsum("stdn,stn->std", dh, b_rot)
-        g_d_rot = np.einsum("stdn,dn->std", g_da, a_neg) + dh_b * u_rot
-        g_u_rot = dh_b * d_rot + d_skip.data * g_yrot
-        g_b_rot = np.einsum("stdn,std->stn", dh, d_rot * u_rot)
-        g_c_rot = np.einsum("std,stdn->stn", g_yrot, h)
-        u._accumulate(g_u_rot[rows, inv_idx].sum(0))
-        delta._accumulate(g_d_rot[rows, inv_idx].sum(0))
-        b_coef._accumulate(g_b_rot[rows, inv_idx].sum(0))
-        c_coef._accumulate(g_c_rot[rows, inv_idx].sum(0))
-        probs._accumulate(np.einsum("std,td->s", y_un, g))
-        a_log._accumulate(np.einsum("stdn,std->dn", g_da, d_rot) * a_neg)
-        d_skip._accumulate((g_yrot * u_rot).sum((0, 1)))
+        gy = out.grad
+        g_h = gy[:, :, None] * cd[:, None, :]  # [T, D, N]
+        g_w = np.stack([-cp_t * g_h, g_h], axis=1)
+        dhs = linear_scan_adjoint(da2, np.concatenate([-p_all * g_w, g_w]))
+        # decay gradients, per step and through P_all (d P_all / d z_t = P_all);
+        # a per-step decay is never divided out, as it underflows at large delta
+        g_a2 = np.zeros_like(bu2)
+        g_a2[1:] = np.einsum("ksdn,ksdn->kdn", dhs[1:], hs[:-1]) * da2[1:, 0]
+        g_z = g_a2[:t_len] + g_a2[t_len:]
+        g_z += p_all * -np.einsum("tsdn,tsdn->dn", g_w, hs[:t_len])
+        g_bu2 = dhs[:, 0] + cp[:, None, None] * dhs[:, 1]
+        # probs enter through CP (scan input and window weight) and the skip weight
+        g_cp = np.einsum("kdn,kdn->k", dhs[:, 1], bu2)
+        g_cp[:t_len] -= np.einsum("tdn,tdn->t", g_h, w[:, 0])
+        g_cp = np.cumsum(g_cp[::-1])[::-1]
+        probs._accumulate(g_cp[:t_len] + g_cp[t_len:]
+                          + (gy * d_skip.data[None, :] * ud).sum())
+        _fused_backward(inputs, a_neg, gy, h_dyn, skip_w,
+                        g_z, g_bu2[:t_len] + g_bu2[t_len:])
 
-    out = tt._make(out_data, (u, delta, b_coef, c_coef, probs, a_log, d_skip), backward)
+    out = tt._make(y, (u, delta, b_coef, c_coef, probs, a_log, d_skip), backward)
     return out
 
 
@@ -317,9 +313,10 @@ def dynamic_mixture(x: Tensor, params: SsmParams, probs: Tensor,
 
     ``probs`` has one weight per start segment; start ``s`` rotates the
     sequence so segment ``s`` is scanned first, and the scan output is
-    rotated back before weighting. The parallel engine batches every
-    rotation into one fused prefix scan; the sequential engine composes the
-    mixture term by term and is the oracle the fused path is tested against.
+    rotated back before weighting. The parallel engine computes the whole
+    mixture in one O(T) fused node on the sequence unrolled twice; the
+    sequential engine composes it term by term and is the oracle the fused
+    node is tested against.
     """
     t_len = x.shape[0]
     if probs.shape != (t_len,):

@@ -301,11 +301,9 @@ def train_on_dir(data_dir, out_dir, model_config: ModelConfig | None = None,
     train_split = load_split(data_dir, "train")
     model_config = _config_for_split(train_split, model_config)
     val_records = val_gt = None
-    try:
+    if os.path.exists(os.path.join(data_dir, "manifest_val.txt")):  # validation is optional
         val_split = load_split(data_dir, "val")
         val_records, val_gt = val_split.records, val_split.gt
-    except Exception:
-        pass  # validation split is optional
     os.makedirs(out_dir, exist_ok=True)
     checkpoint_path = os.path.join(out_dir, "checkpoint.mugc")
     net, log = train(model_config, train_split.records, train_split.classes,

@@ -1,11 +1,14 @@
 """CLI behavior: command outputs, reproducibility, exit codes."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from avparse.cli import main, parse_config_file
+from avparse.errors import AvparseError
+from avparse.trainer import TrainConfig, train_on_dir
 
 
 def tree_bytes(root):
@@ -103,6 +106,18 @@ class TestTrainEvalMetrics:
         metrics_csv = (tmp_path / "metrics.csv").read_text().strip().splitlines()
         metrics_scores = [float(v) for v in metrics_csv[1].split(",")]
         assert np.allclose(eval_scores, metrics_scores, atol=1e-6)
+
+    def test_truncated_val_manifest_fails_loudly(self, dataset_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest_val.txt"
+        raw = manifest.read_bytes()
+        manifest.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(AvparseError):
+            train_on_dir(str(data), str(tmp_path / "direct"), config=TrainConfig(epochs=1))
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--epochs", "1", "--batch-size", "4", "--dim", "12", "--seed", "0"])
+        assert code == 1
 
     def test_eval_missing_checkpoint_is_validation_error(self, dataset_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "ghost.mugc"),

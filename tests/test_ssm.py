@@ -121,10 +121,18 @@ class TestParallelScan:
             assert np.abs(left[1] - right[1]).max() < 1e-12
 
     def test_prefix_scan_matches_loop(self, rng):
-        a = rng.uniform(0.1, 0.99, (9, 4))
-        b = rng.standard_normal((9, 4))
-        assert np.abs(ssm.linear_scan_parallel(a, b)
-                      - ssm.linear_scan_sequential(a, b)).max() < 1e-12
+        a = rng.uniform(0.1, 0.99, (9, 1, 3, 4))  # broadcast against b's stack axis
+        b = rng.standard_normal((9, 2, 3, 4))
+        expected = np.empty_like(b)
+        h = np.zeros_like(b[0])
+        for t in range(9):
+            h = a[t] * h + b[t]
+            expected[t] = h
+        assert np.array_equal(ssm.linear_scan(a, b), expected)
+        # the adjoint sweep is the transpose: <g, scan(b)> == <adjoint(g), b>
+        g = rng.standard_normal(b.shape)
+        assert np.sum(g * expected) == pytest.approx(
+            np.sum(ssm.linear_scan_adjoint(a, g) * b), rel=1e-12)
 
 
 class TestBackwardScan:
@@ -174,6 +182,39 @@ class TestDynamicScan:
             xs = Tensor(np.roll(x.data, -s, axis=0))
             terms.append(np.roll(ssm.selective_scan_sequential(xs, params).data, s, axis=0))
         assert np.abs(y - np.mean(terms, axis=0)).max() < 1e-12
+
+    @pytest.mark.parametrize("t_len, normalized, delta_scale", [
+        (9, False, None),  # probs not summing to 1: skip weighting and probs gradient
+        (1, True, None),
+        (160, False, 5e-5),  # delta <= 1e-4: P_all -> 1 and the window subtraction cancels
+    ])
+    def test_fused_matches_oracle_with_gradients(self, rng, t_len, normalized, delta_scale):
+        params = make_params(rng, d_inner=2, d_state=2)
+        if delta_scale is not None:
+            params.b_dt.data[...] = np.log(np.expm1(delta_scale))
+            params.w_dt2.data *= 0.05
+        x_data = rng.standard_normal((t_len, 2))
+        p_data = rng.uniform(0.0, 1.0, t_len)
+        if normalized:
+            p_data /= p_data.sum()
+        r = rng.standard_normal((t_len, 2))
+        runs = []
+        for engine in ("parallel", "sequential"):
+            params.reset_grads()
+            x = Tensor(x_data.copy(), requires_grad=True)
+            probs = Tensor(p_data.copy(), requires_grad=True)
+            y = ssm.dynamic_mixture(x, params, probs, engine=engine)
+            tt.tsum(y * Tensor(r)).backward()
+            grads = {"x": x.grad, "probs": probs.grad}
+            grads.update((k, p.grad.copy()) for k, p in params.parameters().items())
+            runs.append((y.data, grads))
+        (y_fast, g_fast), (y_ref, g_ref) = runs
+        if delta_scale is not None:
+            delta, _, _ = params.project(Tensor(x_data))
+            assert delta.data.max() <= 1e-4
+        assert np.abs(y_fast - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
+        for name, g in g_ref.items():
+            assert np.abs(g_fast[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_random_logits_match_term_by_term_oracle(self, rng):
         t_len = 9
