@@ -1,11 +1,11 @@
 """avparse: weakly-supervised audio-visual video parsing on state-space models.
 
 Self-contained desk-scale stack: a float64 autodiff tensor core with AdamW,
-selective-scan kernels (sequential oracle, fused single-node engine,
-backward and O(T) dynamic variants with cross-modal shared input
-projections), the full parsing network, cross-modal data augmentation, the
-segment/event F-score suite, training loops, a scikit-learn style estimator
-facade and a CLI.
+selective-scan kernels (fused single-node forward, backward and O(T)
+dynamic scans with cross-modal shared input projections, each checked
+against a sequential oracle), the full parsing network, cross-modal data
+augmentation, the segment/event F-score suite, training loops, a
+scikit-learn style estimator facade and a CLI.
 """
 
 from .augment import (AugmentConfig, LabelDistribution, cmrc_combine,

@@ -9,6 +9,7 @@ with each entry ``name_len | name utf-8 | rank | dims[rank] | f64 payload``.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 
@@ -72,10 +73,13 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     out: OrderedDict[str, np.ndarray] = OrderedDict()
     for _ in range(count):
         name_len = r.u32("name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        try:
+            name = r.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"entry name is not valid UTF-8: {exc}") from exc
         rank = r.u32("rank")
         dims = tuple(r.u32("dimension") for _ in range(rank))
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)  # exact; np.prod wraps around in int64
         payload = r.take(8 * n, f"payload of {name!r}")
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
         out[name] = arr

@@ -174,17 +174,16 @@ def _scan_cases(rng: np.random.Generator):
     d_skip = Tensor(rng.standard_normal(d_inner), requires_grad=True)
     core_inputs = [u, delta, b, c, a_log, d_skip]
     r = rng.standard_normal((t_len, d_inner))
-    for engine in ("sequential", "parallel"):
-        cases.append((f"scan core ({engine})",
-                      lambda engine=engine: _loss_through(
-                          ssm.scan_core(u, delta, b, c, a_log, d_skip, engine), r),
+    for label, core in (("sequential", ssm._scan_primitive), ("fused", ssm._scan_fused)):
+        cases.append((f"scan core ({label})",
+                      lambda core=core: _loss_through(core(u, delta, b, c, a_log, d_skip), r),
                       core_inputs))
 
     params = ssm.SsmParams(d_inner, n_state, rng, dt_rank=2)
     xs = Tensor(rng.standard_normal((t_len, d_inner)), requires_grad=True)
     svars = [xs, *params.parameters().values()]
-    cases.append(("selective_scan_parallel",
-                  lambda: _loss_through(ssm.selective_scan_parallel(xs, params), r), svars))
+    cases.append(("selective_scan",
+                  lambda: _loss_through(ssm.selective_scan(xs, params), r), svars))
     cases.append(("selective_scan_backward",
                   lambda: _loss_through(ssm.selective_scan_backward(xs, params), r), svars))
     logits = Tensor(rng.standard_normal(t_len), requires_grad=True)
@@ -195,7 +194,7 @@ def _scan_cases(rng: np.random.Generator):
     handle = ssm.SharedMatrixHandle(d_inner, n_state, rng, active=True)
     shared_params = ssm.SsmParams(d_inner, n_state, rng, dt_rank=2, shared=handle, modality="a")
     cases.append(("scan with shared B",
-                  lambda: _loss_through(ssm.selective_scan_parallel(xs, shared_params), r),
+                  lambda: _loss_through(ssm.selective_scan(xs, shared_params), r),
                   [xs, *shared_params.parameters().values(), *handle.parameters().values()]))
 
     block = ssm.MambaBlock(6, rng, d_state=4, expand=2, d_conv=4)
@@ -248,8 +247,8 @@ def run_grad_checks(seed: int = 0, include_model: bool = True) -> list[CheckResu
 def run_scan_checks(seed: int = 0, cases: int = 100) -> list[CheckResult]:
     """Oracle equivalence for the scan family.
 
-    Parallel vs sequential over random shapes, exact backward/one-hot-dynamic
-    identities, term-by-term dynamic mixture, and operator associativity.
+    Fused vs sequential over random shapes, exact backward/one-hot-dynamic
+    identities, and the fused dynamic scan against the term-by-term mixture.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -262,30 +261,30 @@ def run_scan_checks(seed: int = 0, cases: int = 100) -> list[CheckResult]:
         params = ssm.SsmParams(d_inner, n_state, rng, dt_rank=max(1, d_inner // 4))
         x = Tensor(rng.standard_normal((t_len, d_inner)))
         y_seq = ssm.selective_scan_sequential(x, params)
-        y_par = ssm.selective_scan_parallel(x, params)
-        worst = max(worst, float(np.abs(y_seq.data - y_par.data).max()))
+        y_fused = ssm.selective_scan(x, params)
+        worst = max(worst, float(np.abs(y_seq.data - y_fused.data).max()))
     results.append(CheckResult(
-        f"parallel vs sequential ({cases} random cases)", worst, 1e-9, worst < 1e-9,
+        f"fused vs sequential ({cases} random cases)", worst, 1e-9, worst < 1e-9,
         "max abs deviation"))
 
     t_len, d_inner, n_state = 12, 6, 5
     params = ssm.SsmParams(d_inner, n_state, rng, dt_rank=2)
     x = Tensor(rng.standard_normal((t_len, d_inner)))
     y_bwd = ssm.selective_scan_backward(x, params)
-    y_ref = tt.reverse(ssm.selective_scan_parallel(tt.reverse(x, 0), params), 0)
+    y_ref = tt.reverse(ssm.selective_scan(tt.reverse(x, 0), params), 0)
     dev = float(np.abs(y_bwd.data - y_ref.data).max())
     results.append(CheckResult("backward equals reversed forward-on-reversed",
                                dev, 0.0, dev == 0.0, "exact"))
 
     one_hot = np.zeros(t_len)
     one_hot[0] = 1.0
-    y_dyn0 = ssm.dynamic_mixture(x, params, Tensor(one_hot), engine="sequential")
+    y_dyn0 = ssm.dynamic_mixture_sequential(x, params, Tensor(one_hot))
     y_fwd = ssm.selective_scan_sequential(x, params)
     dev = float(np.abs(y_dyn0.data - y_fwd.data).max())
     results.append(CheckResult("dynamic one-hot start equals forward",
-                               dev, 0.0, dev == 0.0, "exact, composition engine"))
-    y_dyn0_fast = ssm.dynamic_mixture(x, params, Tensor(one_hot), engine="parallel")
-    y_fwd_fast = ssm.selective_scan_parallel(x, params)
+                               dev, 0.0, dev == 0.0, "exact, term-by-term oracle"))
+    y_dyn0_fast = ssm.dynamic_mixture(x, params, Tensor(one_hot))
+    y_fwd_fast = ssm.selective_scan(x, params)
     dev = float(np.abs(y_dyn0_fast.data - y_fwd_fast.data).max())
     results.append(CheckResult("dynamic one-hot start equals forward (fused kernel)",
                                dev, 1e-12, dev < 1e-12, "max abs deviation"))
@@ -302,15 +301,4 @@ def run_scan_checks(seed: int = 0, cases: int = 100) -> list[CheckResult]:
     dev = float(np.abs(y_dyn.data - expected).max())
     results.append(CheckResult("dynamic matches term-by-term mixture", dev, 1e-12,
                                dev < 1e-12, "max abs deviation"))
-
-    worst = 0.0
-    for _ in range(32):
-        trip = [(rng.standard_normal((3, 2)), rng.standard_normal((3, 2))) for _ in range(3)]
-        p, q, r = trip
-        left = ssm.scan_compose(ssm.scan_compose(p, q), r)
-        right = ssm.scan_compose(p, ssm.scan_compose(q, r))
-        worst = max(worst, float(np.abs(left[0] - right[0]).max()),
-                    float(np.abs(left[1] - right[1]).max()))
-    results.append(CheckResult("scan operator associativity", worst, 1e-12,
-                               worst < 1e-12, "max abs deviation"))
     return results

@@ -56,7 +56,7 @@ class AVMambaParser(_ParamsMixin):
                  epochs: int = 20, batch_size: int = 16, learning_rate: float = 3e-4,
                  weight_decay: float = 0.01, cmrc_multiplier: float = 0.0,
                  min_count: int = 50, theta_seg: float = 0.5, theta_vid: float = 0.5,
-                 ablate: str | None = None, engine: str = "parallel", seed: int = 0):
+                 ablate: str | None = None, seed: int = 0):
         self.n_segments = n_segments
         self.dim = dim
         self.d_state = d_state
@@ -74,7 +74,6 @@ class AVMambaParser(_ParamsMixin):
         self.theta_seg = theta_seg
         self.theta_vid = theta_vid
         self.ablate = ablate
-        self.engine = engine
         self.seed = seed
         self.net_ = None
         self.classes_ = None
@@ -98,7 +97,7 @@ class AVMambaParser(_ParamsMixin):
             learning_rate=self.learning_rate, weight_decay=self.weight_decay,
             seed=self.seed, cmrc_multiplier=self.cmrc_multiplier,
             min_count=self.min_count, theta_seg=self.theta_seg,
-            theta_vid=self.theta_vid, engine=self.engine)
+            theta_vid=self.theta_vid)
         if self.ablate is not None:
             key = self.ablate.lower()
             if key not in ABLATABLE:
@@ -131,7 +130,7 @@ class AVMambaParser(_ParamsMixin):
         check_fitted(self, "net_")
         records = check_records(records)
         preds = predict_records(self.net_, records, self._texts(),
-                                self.theta_seg, self.theta_vid, self.engine)
+                                self.theta_seg, self.theta_vid)
         return [preds[r.video_id] for r in records]
 
     def predict_proba(self, records):
@@ -141,7 +140,7 @@ class AVMambaParser(_ParamsMixin):
         texts = self._texts()
         out = []
         for record in records:
-            outputs = forward_record(self.net_, record, texts, self.engine)
+            outputs = forward_record(self.net_, record, texts)
             out.append({
                 "seg_prob_a": outputs.seg_prob_a.data.copy(),
                 "seg_prob_v": outputs.seg_prob_v.data.copy(),

@@ -144,30 +144,26 @@ class TemporalSpatialAttention(Module):
             "temporal_block", MambaBlock(2, rng, d_state=d_state, expand=expand, d_conv=d_conv))
         self.temporal_proj = self._child("temporal_proj", Linear(2, 1, rng))
 
-    def channel_weights(self, x: Tensor, engine: str = "parallel") -> Tensor:
+    def channel_weights(self, x: Tensor) -> Tensor:
         avg_c = tt.pool(x, axis=0, kind="avg")
         max_c = tt.pool(x, axis=0, kind="max")
-        return tt.sigmoid(self.channel_block(avg_c, engine) + self.channel_block(max_c, engine))
+        return tt.sigmoid(self.channel_block(avg_c) + self.channel_block(max_c))
 
-    def temporal_weights(self, x: Tensor, engine: str = "parallel") -> Tensor:
+    def temporal_weights(self, x: Tensor) -> Tensor:
         pooled = tt.concat([tt.pool(x, axis=1, kind="avg"), tt.pool(x, axis=1, kind="max")], axis=1)
-        return tt.sigmoid(self.temporal_proj(self.temporal_block(pooled, engine)))
+        return tt.sigmoid(self.temporal_proj(self.temporal_block(pooled)))
 
-    def __call__(self, x: Tensor, engine: str = "parallel") -> Tensor:
-        refined = x * self.channel_weights(x, engine)
-        return refined * self.temporal_weights(refined, engine)
+    def __call__(self, x: Tensor) -> Tensor:
+        refined = x * self.channel_weights(x)
+        return refined * self.temporal_weights(refined)
 
 
 class FusionStream(Module):
-    """One modality's gated triple-scan branch inside the fusion block.
-
-    ``handles`` may be ``None`` for a fully private stream (the wo/AMF
-    ablation keeps the scan capacity but drops all cross-modal coupling).
-    """
+    """One modality's gated triple-scan branch inside the fusion block;
+    ``handles`` holds the shared matrix of each branch (fwd, bwd, dyn)."""
 
     def __init__(self, dim: int, rng: np.random.Generator, d_state: int, expand: int,
-                 d_conv: int, modality: str,
-                 handles: dict[str, SharedMatrixHandle] | None):
+                 d_conv: int, modality: str, handles: dict[str, SharedMatrixHandle]):
         super().__init__()
         d_inner = expand * dim
         self.d_inner = d_inner
@@ -177,28 +173,27 @@ class FusionStream(Module):
         self.conv_w = self._register("conv_w", rng.standard_normal((d_conv, d_inner)) / np.sqrt(d_conv))
         self.conv_b = self._register("conv_b", np.zeros(d_inner))
         rank = default_dt_rank(dim)
-        shared = handles or {"fwd": None, "bwd": None, "dyn": None}
         self.ssm_fwd = self._child("ssm_fwd", SsmParams(
-            d_inner, d_state, rng, rank, shared=shared["fwd"], modality=modality))
+            d_inner, d_state, rng, rank, shared=handles["fwd"], modality=modality))
         self.ssm_bwd = self._child("ssm_bwd", SsmParams(
-            d_inner, d_state, rng, rank, shared=shared["bwd"], modality=modality))
+            d_inner, d_state, rng, rank, shared=handles["bwd"], modality=modality))
         self.ssm_dyn = self._child("ssm_dyn", SsmParams(
-            d_inner, d_state, rng, rank, shared=shared["dyn"], modality=modality))
+            d_inner, d_state, rng, rank, shared=handles["dyn"], modality=modality))
         self.w_start = self._register("w_start", rng.standard_normal((d_inner, 1)) / np.sqrt(d_inner))
         self.b_start = self._register("b_start", np.zeros(1))
         self.w_out = self._register("w_out", rng.standard_normal((d_inner, dim)) / np.sqrt(d_inner))
         self.b_out = self._register("b_out", np.zeros(dim))
 
-    def __call__(self, x: Tensor, engine: str = "parallel") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         t_len = x.shape[0]
         u = self.norm(x)
         xm = tt.matmul(u, self.w_in_x)
         z = tt.matmul(u, self.w_in_z)
         xc = tt.silu(tt.conv1d_depthwise(xm, self.conv_w, self.conv_b))
-        y_fwd = selective_scan(xc, self.ssm_fwd, engine=engine)
-        y_bwd = selective_scan_backward(xc, self.ssm_bwd, engine=engine)
+        y_fwd = selective_scan(xc, self.ssm_fwd)
+        y_bwd = selective_scan_backward(xc, self.ssm_bwd)
         logits = tt.reshape(tt.matmul(xc, self.w_start) + self.b_start, (t_len,))
-        y_dyn = selective_scan_dynamic(xc, self.ssm_dyn, logits, engine=engine)
+        y_dyn = selective_scan_dynamic(xc, self.ssm_dyn, logits)
         fused = (y_fwd + y_bwd + y_dyn) * tt.silu(z)
         return tt.matmul(fused, self.w_out) + self.b_out + x
 
@@ -226,9 +221,9 @@ class CrossModalFusion(Module):
         for handle in self.handles.values():
             handle.active = active
 
-    def __call__(self, f_a: Tensor, f_v: Tensor, engine: str = "parallel"):
-        out_a = self.stream_a(f_a, engine)
-        out_v = self.stream_v(f_v, engine)
+    def __call__(self, f_a: Tensor, f_v: Tensor):
+        out_a = self.stream_a(f_a)
+        out_v = self.stream_v(f_v)
         mix = self.mix_proj(tt.concat([out_a, out_v], axis=1))
         return out_a, out_v, mix
 
@@ -243,8 +238,8 @@ class PrivateScanPair(Module):
         self.a = self._child("a", MambaBlock(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv))
         self.v = self._child("v", MambaBlock(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv))
 
-    def __call__(self, f_a: Tensor, f_v: Tensor, engine: str = "parallel"):
-        return self.a(f_a, engine), self.v(f_v, engine), None
+    def __call__(self, f_a: Tensor, f_v: Tensor):
+        return self.a(f_a), self.v(f_v), None
 
 
 class ChannelEnhancement(Module):
@@ -406,7 +401,7 @@ class AVMambaNet(Module):
 
     def forward(self, audio: np.ndarray, visual: np.ndarray,
                 text_a: np.ndarray | None = None, text_v: np.ndarray | None = None,
-                engine: str = "parallel", return_stages: bool = False):
+                return_stages: bool = False):
         cfg = self.config
         audio = np.asarray(audio, dtype=np.float64)
         visual = np.asarray(visual, dtype=np.float64)
@@ -417,11 +412,11 @@ class AVMambaNet(Module):
         f_a = self.proj_a(Tensor(audio))
         f_v = self.proj_v(Tensor(visual))
         if cfg.use_tsa:
-            f_a = self.tsa_a(f_a, engine)
-            f_v = self.tsa_v(f_v, engine)
+            f_a = self.tsa_a(f_a)
+            f_v = self.tsa_v(f_v)
             stages.tsa_out_a, stages.tsa_out_v = f_a, f_v
         if cfg.amf_mode != "off":
-            f_a, f_v, mix = self.amf(f_a, f_v, engine)
+            f_a, f_v, mix = self.amf(f_a, f_v)
             stages.amf_out_a, stages.amf_out_v, stages.amf_mix = f_a, f_v, mix
         else:
             mix = None

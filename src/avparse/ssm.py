@@ -1,11 +1,13 @@
 """Selective state-space scan kernels and the Mamba-style block.
 
-The sequential scan is composed from primitive autodiff ops and serves as the
-ground-truth oracle. The fused engine (``engine="parallel"``) runs each scan as
-one graph node with a hand-derived adjoint on one in-place sequential kernel,
-:func:`linear_scan`; the model trains with it. The backward scan reverses the
-input; the dynamic scan soft-mixes every cyclic start position, fused in O(T)
-on the sequence unrolled twice, or composed term by term as the oracle.
+Each scan is one plain function. :func:`selective_scan` and
+:func:`dynamic_mixture` run as single fused graph nodes with hand-derived
+adjoints on one in-place sequential kernel, :func:`linear_scan`; the model
+trains with them. Their oracles, :func:`selective_scan_sequential` and
+:func:`dynamic_mixture_sequential`, compose the same scans step by step from
+primitive autodiff ops. The backward scan reverses the input; the dynamic
+scan soft-mixes every cyclic start position, fused in O(T) on the sequence
+unrolled twice, or composed term by term by its oracle.
 """
 
 from __future__ import annotations
@@ -109,14 +111,7 @@ def discretize(delta: Tensor, a_log: Tensor, b_coef: Tensor) -> tuple[Tensor, Te
     return a_bar, b_bar
 
 
-# -- scan engines ---------------------------------------------------------------
-
-
-def scan_compose(p: tuple[np.ndarray, np.ndarray], q: tuple[np.ndarray, np.ndarray]):
-    """Compose two linear-recurrence elements: apply ``p`` first, then ``q``."""
-    a1, b1 = p
-    a2, b2 = q
-    return a1 * a2, a2 * b1 + b2
+# -- scan kernels ---------------------------------------------------------------
 
 
 def linear_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,16 +257,6 @@ def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
     return out
 
 
-def scan_core(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
-              a_log: Tensor, d_skip: Tensor, engine: str = "parallel") -> Tensor:
-    """Run the recurrence on explicit per-step coefficients."""
-    if engine == "sequential":
-        return _scan_primitive(u, delta, b_coef, c_coef, a_log, d_skip)
-    if engine == "parallel":
-        return _scan_fused(u, delta, b_coef, c_coef, a_log, d_skip)
-    raise ContractError(f"unknown scan engine {engine!r}")
-
-
 # -- public scan operations -------------------------------------------------------
 
 
@@ -280,64 +265,63 @@ def _check_scan_input(x: Tensor, params: SsmParams) -> None:
         raise ShapeError(f"scan input must be [T, {params.d_inner}], got {x.shape}")
 
 
-def selective_scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
-    _check_scan_input(x, params)
-    delta, b_coef, c_coef = params.project(x)
-    return _scan_primitive(x, delta, b_coef, c_coef, params.a_log, params.d_skip)
+def _check_start_distribution(x: Tensor, probs: Tensor) -> None:
+    t_len = x.shape[0]
+    if probs.shape != (t_len,):
+        raise ShapeError(f"start distribution must have shape [{t_len}], got {probs.shape}")
 
 
-def selective_scan_parallel(x: Tensor, params: SsmParams) -> Tensor:
+def selective_scan(x: Tensor, params: SsmParams) -> Tensor:
     _check_scan_input(x, params)
     delta, b_coef, c_coef = params.project(x)
     return _scan_fused(x, delta, b_coef, c_coef, params.a_log, params.d_skip)
 
 
-def selective_scan(x: Tensor, params: SsmParams, engine: str = "parallel") -> Tensor:
-    if engine == "sequential":
-        return selective_scan_sequential(x, params)
-    if engine == "parallel":
-        return selective_scan_parallel(x, params)
-    raise ContractError(f"unknown scan engine {engine!r}")
+def selective_scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
+    """Oracle for :func:`selective_scan`, built from primitive ops."""
+    _check_scan_input(x, params)
+    delta, b_coef, c_coef = params.project(x)
+    return _scan_primitive(x, delta, b_coef, c_coef, params.a_log, params.d_skip)
 
 
-def selective_scan_backward(x: Tensor, params: SsmParams, engine: str = "parallel") -> Tensor:
+def selective_scan_backward(x: Tensor, params: SsmParams) -> Tensor:
     """Scan in reversed segment order; output restored to input orientation."""
     xr = tt.reverse(x, axis=0)
-    yr = selective_scan(xr, params, engine=engine)
+    yr = selective_scan(xr, params)
     return tt.reverse(yr, axis=0)
 
 
-def dynamic_mixture(x: Tensor, params: SsmParams, probs: Tensor,
-                    engine: str = "parallel") -> Tensor:
+def dynamic_mixture(x: Tensor, params: SsmParams, probs: Tensor) -> Tensor:
     """Soft mixture of forward scans over all cyclic start positions.
 
     ``probs`` has one weight per start segment; start ``s`` rotates the
     sequence so segment ``s`` is scanned first, and the scan output is
-    rotated back before weighting. The parallel engine computes the whole
-    mixture in one O(T) fused node on the sequence unrolled twice; the
-    sequential engine composes it term by term and is the oracle the fused
-    node is tested against.
+    rotated back before weighting. The whole mixture is one O(T) fused node
+    on the sequence unrolled twice; :func:`dynamic_mixture_sequential` is the
+    oracle it is tested against.
     """
-    t_len = x.shape[0]
-    if probs.shape != (t_len,):
-        raise ShapeError(f"start distribution must have shape [{t_len}], got {probs.shape}")
-    if engine == "parallel":
-        _check_scan_input(x, params)
-        delta, b_coef, c_coef = params.project(x)
-        return _dyn_fused(x, delta, b_coef, c_coef, probs, params.a_log, params.d_skip)
+    _check_start_distribution(x, probs)
+    _check_scan_input(x, params)
+    delta, b_coef, c_coef = params.project(x)
+    return _dyn_fused(x, delta, b_coef, c_coef, probs, params.a_log, params.d_skip)
+
+
+def dynamic_mixture_sequential(x: Tensor, params: SsmParams, probs: Tensor) -> Tensor:
+    """Oracle for :func:`dynamic_mixture`: the rotated sequential scans,
+    weighted and summed term by term."""
+    _check_start_distribution(x, probs)
     total = None
-    for s in range(t_len):
+    for s in range(x.shape[0]):
         xs = tt.rotate(x, axis=0, offset=s)
-        ys = tt.rotate(selective_scan(xs, params, engine=engine), axis=0, offset=-s)
+        ys = tt.rotate(selective_scan_sequential(xs, params), axis=0, offset=-s)
         term = ys * tt.narrow(probs, 0, s, 1)
         total = term if total is None else total + term
     return total
 
 
-def selective_scan_dynamic(x: Tensor, params: SsmParams, start_logits: Tensor,
-                           engine: str = "parallel") -> Tensor:
+def selective_scan_dynamic(x: Tensor, params: SsmParams, start_logits: Tensor) -> Tensor:
     probs = tt.softmax(start_logits, axis=0)
-    return dynamic_mixture(x, params, probs, engine=engine)
+    return dynamic_mixture(x, params, probs)
 
 
 # -- full block --------------------------------------------------------------------
@@ -374,10 +358,10 @@ class MambaBlock(Module):
             "w_out", rng.standard_normal((self.d_inner, d_model)) / np.sqrt(self.d_inner))
         self.b_out = self._register("b_out", np.zeros(d_model))
 
-    def __call__(self, x: Tensor, engine: str = "parallel") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         u = self.norm(x)
         xm = tt.matmul(u, self.w_in_x)
         z = tt.matmul(u, self.w_in_z)
         xc = tt.silu(tt.conv1d_depthwise(xm, self.conv_w, self.conv_b))
-        y = selective_scan(xc, self.ssm, engine=engine)
+        y = selective_scan(xc, self.ssm)
         return tt.matmul(y * tt.silu(z), self.w_out) + self.b_out + x

@@ -83,21 +83,7 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+        topo = graph_tensors(self)
         for node in topo:
             if node.requires_grad and node.grad is not None:
                 label = node.name or f"tensor{list(node.shape)}"
@@ -540,18 +526,24 @@ def reset_grads(tensors) -> None:
 
 
 def graph_tensors(root: Tensor) -> list[Tensor]:
-    """All tensors reachable from ``root`` through the parent links."""
+    """All tensors reachable from ``root`` through the parent links, in
+    post-order: every tensor comes after its parents and ``root`` comes last."""
+    topo: list[Tensor] = []
     seen: set[int] = set()
-    out: list[Tensor] = []
-    stack = [root]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
-        node = stack.pop()
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
         if id(node) in seen:
             continue
         seen.add(id(node))
-        out.append(node)
-        stack.extend(node._parents)
-    return out
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return topo
 
 
 # -- AdamW ---------------------------------------------------------------------

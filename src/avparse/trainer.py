@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class TrainConfig:
     min_count: int = 50
     theta_seg: float = 0.5
     theta_vid: float = 0.5
-    engine: str = "parallel"
     eval_every: int = 1
     stop_at_type_av: float | None = None  # early exit once validation reaches this
 
@@ -79,37 +78,46 @@ class TrainLog:
 
 def _config_meta(config: ModelConfig) -> "OrderedDict[str, np.ndarray]":
     meta = OrderedDict()
-    fields = [
-        ("n_segments", config.n_segments), ("dim", config.dim),
-        ("n_classes", config.n_classes), ("d_state", config.d_state),
-        ("expand", config.expand), ("d_conv", config.d_conv),
-        ("d_audio_in", config.d_audio_in), ("d_visual_in", config.d_visual_in),
-        ("text_dim", config.text_dim), ("lambda_audio", config.lambda_audio),
-        ("lambda_visual", config.lambda_visual), ("use_tsa", int(config.use_tsa)),
-        ("amf_mode", AMF_MODES.index(config.amf_mode)),
-        ("use_mfe", int(config.use_mfe)), ("use_plsim", int(config.use_plsim)),
-    ]
-    for name, value in fields:
-        meta[META_PREFIX + name] = np.array([float(value)])
+    for f in fields(ModelConfig):
+        value = getattr(config, f.name)
+        if f.name == "amf_mode":
+            value = AMF_MODES.index(value)
+        meta[META_PREFIX + f.name] = np.array([float(value)])
     return meta
 
 
-def _config_from_meta(meta: dict) -> ModelConfig:
-    def num(name, cast=int):
-        key = META_PREFIX + name
-        if key not in meta:
-            raise CheckpointError(f"checkpoint lacks model metadata entry {key!r}")
-        return cast(meta[key].reshape(-1)[0])
+def _meta_value(meta: dict, f):
+    """One metadata entry decoded to the type of field ``f``'s default."""
+    key = META_PREFIX + f.name
+    if key not in meta:
+        raise CheckpointError(f"checkpoint lacks model metadata entry {key!r}")
+    entry = meta[key].reshape(-1)
+    if entry.size != 1 or not np.isfinite(entry[0]):
+        raise CheckpointError(f"metadata entry {key!r} must hold one finite value, "
+                              f"got {entry[:4].tolist()}")
+    value = float(entry[0])
+    if isinstance(f.default, float):
+        return value
+    if value != int(value):
+        raise CheckpointError(f"metadata entry {key!r} must be integral, got {value}")
+    value = int(value)
+    if f.name == "amf_mode":
+        if not 0 <= value < len(AMF_MODES):
+            raise CheckpointError(f"metadata entry {key!r} must index {AMF_MODES}, got {value}")
+        return AMF_MODES[value]
+    if isinstance(f.default, bool):
+        if value not in (0, 1):
+            raise CheckpointError(f"metadata entry {key!r} must be 0 or 1, got {value}")
+        return bool(value)
+    return value
 
-    return ModelConfig(
-        n_segments=num("n_segments"), dim=num("dim"), n_classes=num("n_classes"),
-        d_state=num("d_state"), expand=num("expand"), d_conv=num("d_conv"),
-        d_audio_in=num("d_audio_in"), d_visual_in=num("d_visual_in"),
-        text_dim=num("text_dim"), lambda_audio=num("lambda_audio", float),
-        lambda_visual=num("lambda_visual", float), use_tsa=bool(num("use_tsa")),
-        amf_mode=AMF_MODES[num("amf_mode")], use_mfe=bool(num("use_mfe")),
-        use_plsim=bool(num("use_plsim")),
-    )
+
+def _config_from_meta(meta: dict) -> ModelConfig:
+    values = {f.name: _meta_value(meta, f) for f in fields(ModelConfig)}
+    try:
+        return ModelConfig(**values)
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid model metadata: {exc}") from exc
 
 
 def save_model(path, net: AVMambaNet) -> None:
@@ -123,6 +131,10 @@ def load_model(path) -> AVMambaNet:
     config = _config_from_meta(stored)
     net = AVMambaNet(config, seed=0)
     params = net.parameters()
+    meta_names = {META_PREFIX + f.name for f in fields(ModelConfig)}
+    unknown = [name for name in stored if name not in params and name not in meta_names]
+    if unknown:
+        raise CheckpointError(f"checkpoint has unknown entries {unknown[:5]}")
     for name in params:
         if name not in stored:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
@@ -157,16 +169,16 @@ class TextCache:
 
 
 def forward_record(net: AVMambaNet, record: VideoRecord, texts: TextCache | None,
-                   engine: str = "parallel", return_stages: bool = False):
+                   return_stages: bool = False):
     text_a = text_v = None
     if net.config.use_plsim and texts is not None:
         text_a, text_v = texts.get(record)
     return net.forward(record.audio, record.visual, text_a, text_v,
-                       engine=engine, return_stages=return_stages)
+                       return_stages=return_stages)
 
 
-def _first_nonfinite(net, record, texts, engine) -> str:
-    outputs, stages = forward_record(net, record, texts, engine, return_stages=True)
+def _first_nonfinite(net, record, texts) -> str:
+    outputs, stages = forward_record(net, record, texts, return_stages=True)
     ordered = [
         ("tsa_out_a", stages.tsa_out_a), ("tsa_out_v", stages.tsa_out_v),
         ("amf_out_a", stages.amf_out_a), ("amf_out_v", stages.amf_out_v),
@@ -186,22 +198,20 @@ def _first_nonfinite(net, record, texts, engine) -> str:
 
 
 def predict_records(net: AVMambaNet, records, texts: TextCache | None,
-                    theta_seg: float = 0.5, theta_vid: float = 0.5,
-                    engine: str = "parallel") -> dict[str, SegmentPrediction]:
+                    theta_seg: float = 0.5, theta_vid: float = 0.5) -> dict[str, SegmentPrediction]:
     preds = {}
     for record in records:
-        outputs = forward_record(net, record, texts, engine)
+        outputs = forward_record(net, record, texts)
         preds[record.video_id] = binarize(outputs, theta_seg, theta_vid, record.video_id)
     return preds
 
 
 def evaluate_records(net: AVMambaNet, records, gt: dict, classes,
-                     theta_seg: float = 0.5, theta_vid: float = 0.5,
-                     engine: str = "parallel") -> MetricReport:
+                     theta_seg: float = 0.5, theta_vid: float = 0.5) -> MetricReport:
     if gt is None:
         raise EvaluationError("split has no ground truth to evaluate against")
     texts = TextCache(classes, net.config.text_dim) if net.config.use_plsim else None
-    preds = predict_records(net, records, texts, theta_seg, theta_vid, engine)
+    preds = predict_records(net, records, texts, theta_seg, theta_vid)
     return aggregate_report(preds, gt)
 
 
@@ -251,13 +261,13 @@ def train(model_config: ModelConfig, train_records, classes,
             batch_loss = None
             for idx in batch:
                 record = records[int(idx)]
-                outputs = forward_record(net, record, texts, config.engine)
+                outputs = forward_record(net, record, texts)
                 loss = compute_loss(
                     outputs, record.video_label, record.pseudo_a, record.pseudo_v,
                     record.null_a, record.null_v,
                     model_config.lambda_audio, model_config.lambda_visual)
                 if not np.isfinite(loss.data):
-                    culprit = _first_nonfinite(net, record, texts, config.engine)
+                    culprit = _first_nonfinite(net, record, texts)
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, video {record.video_id}; "
                         f"first non-finite tensor: {culprit}")
@@ -272,7 +282,7 @@ def train(model_config: ModelConfig, train_records, classes,
         report = None
         if has_val and (epoch % config.eval_every == 0 or epoch == config.epochs - 1):
             report = evaluate_records(net, val_records, val_gt, classes,
-                                      config.theta_seg, config.theta_vid, config.engine)
+                                      config.theta_seg, config.theta_vid)
             if report.seg_type_at_av > best_score:
                 best_score = report.seg_type_at_av
                 best_state = OrderedDict(
@@ -326,15 +336,14 @@ def _config_for_split(split: LoadedSplit, model_config: ModelConfig | None) -> M
 
 
 def evaluate_checkpoint(checkpoint_path, data_dir, split: str = "val",
-                        theta_seg: float = 0.5, theta_vid: float = 0.5,
-                        engine: str = "parallel"):
+                        theta_seg: float = 0.5, theta_vid: float = 0.5):
     """Load a checkpoint, score one split, and return (report, predictions)."""
     net = load_model(checkpoint_path)
     loaded = load_split(data_dir, split)
     if loaded.gt is None:
         raise EvaluationError(f"split {split!r} has no ground-truth file")
     texts = TextCache(loaded.classes, net.config.text_dim) if net.config.use_plsim else None
-    preds = predict_records(net, loaded.records, texts, theta_seg, theta_vid, engine)
+    preds = predict_records(net, loaded.records, texts, theta_seg, theta_vid)
     report = aggregate_report(preds, loaded.gt)
     return report, preds, loaded
 
@@ -357,5 +366,5 @@ def ablate(component: str, model_config: ModelConfig, train_records, classes,
         net_cfg = model_config.ablated(key)
     net, _ = train(net_cfg, train_records, classes, val_records, val_gt, train_cfg)
     report = evaluate_records(net, val_records, val_gt, classes,
-                              config.theta_seg, config.theta_vid, config.engine)
+                              config.theta_seg, config.theta_vid)
     return net, report

@@ -37,7 +37,7 @@ class TestCriterion1ScanOracle:
         elapsed = time.perf_counter() - started
         equivalence = results[0]
         ok = equivalence.ok and elapsed < 30.0
-        report_line(1, ok, f"parallel vs sequential over 100 random cases, max abs "
+        report_line(1, ok, f"fused vs sequential over 100 random cases, max abs "
                            f"deviation {equivalence.value:.2e} < 1e-9, {elapsed:.1f}s < 30s")
 
 

@@ -156,7 +156,7 @@ class TestChecks:
     def test_scan_check_passes(self, capsys):
         assert main(["scan-check", "--cases", "10", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert "parallel vs sequential" in out
+        assert "fused vs sequential" in out
 
     def test_grad_check_ops_only(self, capsys):
         assert main(["grad-check", "--skip-model", "--seed", "0"]) == 0

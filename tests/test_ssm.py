@@ -101,24 +101,15 @@ class TestParallelScan:
             params = ssm.SsmParams(d_inner, d_state, rng, dt_rank=max(1, d_inner // 4))
             x = Tensor(rng.standard_normal((t_len, d_inner)))
             y_seq = ssm.selective_scan_sequential(x, params).data
-            y_par = ssm.selective_scan_parallel(x, params).data
-            assert np.abs(y_seq - y_par).max() < 1e-9
+            y_fused = ssm.selective_scan(x, params).data
+            assert np.abs(y_seq - y_fused).max() < 1e-9
 
     def test_t1_exact(self, rng):
         params = make_params(rng)
         x = Tensor(rng.standard_normal((1, 5)))
         y_seq = ssm.selective_scan_sequential(x, params).data
-        y_par = ssm.selective_scan_parallel(x, params).data
-        assert np.array_equal(y_seq, y_par)
-
-    def test_compose_associative(self, rng):
-        for _ in range(16):
-            p, q, r = [(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
-                       for _ in range(3)]
-            left = ssm.scan_compose(ssm.scan_compose(p, q), r)
-            right = ssm.scan_compose(p, ssm.scan_compose(q, r))
-            assert np.abs(left[0] - right[0]).max() < 1e-12
-            assert np.abs(left[1] - right[1]).max() < 1e-12
+        y_fused = ssm.selective_scan(x, params).data
+        assert np.array_equal(y_seq, y_fused)
 
     def test_prefix_scan_matches_loop(self, rng):
         a = rng.uniform(0.1, 0.99, (9, 1, 3, 4))  # broadcast against b's stack axis
@@ -147,12 +138,12 @@ class TestBackwardScan:
         params = make_params(rng)
         x = Tensor(rng.standard_normal((1, 5)))
         assert np.array_equal(ssm.selective_scan_backward(x, params).data,
-                              ssm.selective_scan_parallel(x, params).data)
+                              ssm.selective_scan(x, params).data)
 
     def test_matches_reversed_sequential_oracle(self, rng):
         params = make_params(rng)
         x = Tensor(rng.standard_normal((7, 5)))
-        y = ssm.selective_scan_backward(x, params, engine="parallel").data
+        y = ssm.selective_scan_backward(x, params).data
         x_rev = Tensor(x.data[::-1].copy())
         ref = ssm.selective_scan_sequential(x_rev, params).data[::-1]
         assert np.abs(y - ref).max() < 1e-12
@@ -164,12 +155,12 @@ class TestDynamicScan:
         x = Tensor(rng.standard_normal((6, 5)))
         probs = np.zeros(6)
         probs[0] = 1.0
-        # composition engine: exact by definition
-        y = ssm.dynamic_mixture(x, params, Tensor(probs), engine="sequential").data
+        # term-by-term oracle: exact by definition
+        y = ssm.dynamic_mixture_sequential(x, params, Tensor(probs)).data
         assert np.array_equal(y, ssm.selective_scan_sequential(x, params).data)
         # fused kernel: same up to summation-order roundoff
-        y_fast = ssm.dynamic_mixture(x, params, Tensor(probs), engine="parallel").data
-        fwd = ssm.selective_scan_parallel(x, params).data
+        y_fast = ssm.dynamic_mixture(x, params, Tensor(probs)).data
+        fwd = ssm.selective_scan(x, params).data
         assert np.abs(y_fast - fwd).max() < 1e-12
 
     def test_uniform_is_mean_of_rotated_scans(self, rng):
@@ -199,11 +190,11 @@ class TestDynamicScan:
             p_data /= p_data.sum()
         r = rng.standard_normal((t_len, 2))
         runs = []
-        for engine in ("parallel", "sequential"):
+        for mixture in (ssm.dynamic_mixture, ssm.dynamic_mixture_sequential):
             params.reset_grads()
             x = Tensor(x_data.copy(), requires_grad=True)
             probs = Tensor(p_data.copy(), requires_grad=True)
-            y = ssm.dynamic_mixture(x, params, probs, engine=engine)
+            y = mixture(x, params, probs)
             tt.tsum(y * Tensor(r)).backward()
             grads = {"x": x.grad, "probs": probs.grad}
             grads.update((k, p.grad.copy()) for k, p in params.parameters().items())
@@ -244,7 +235,7 @@ class TestStabilityAndCausality:
     def test_bounded_state_for_bounded_input(self, rng):
         params = make_params(rng)
         x = Tensor(np.clip(rng.standard_normal((500, 5)), -1, 1))
-        y = ssm.selective_scan_parallel(x, params).data
+        y = ssm.selective_scan(x, params).data
         assert np.all(np.isfinite(y))
         assert np.abs(y).max() < 1e3
 
@@ -253,8 +244,8 @@ class TestStabilityAndCausality:
         base = rng.standard_normal((8, 5))
         perturbed = base.copy()
         perturbed[5:] += 3.0
-        y1 = ssm.selective_scan_parallel(Tensor(base), params).data
-        y2 = ssm.selective_scan_parallel(Tensor(perturbed), params).data
+        y1 = ssm.selective_scan(Tensor(base), params).data
+        y2 = ssm.selective_scan(Tensor(perturbed), params).data
         assert np.array_equal(y1[:5], y2[:5])
         assert not np.allclose(y1[5:], y2[5:])
 
@@ -264,9 +255,9 @@ class TestSharedHandle:
         handle = ssm.SharedMatrixHandle(5, 4, rng, active=False)
         params = make_params(rng, shared=handle, modality="a")
         x = Tensor(rng.standard_normal((6, 5)))
-        y1 = ssm.selective_scan_parallel(x, params).data.copy()
+        y1 = ssm.selective_scan(x, params).data.copy()
         handle.w_shared.data += 100.0  # perturbation must not matter when off
-        y2 = ssm.selective_scan_parallel(x, params).data
+        y2 = ssm.selective_scan(x, params).data
         assert np.array_equal(y1, y2)
 
     def test_sharing_on_gradients_sum(self, rng):
@@ -281,10 +272,10 @@ class TestSharedHandle:
                 module.reset_grads()
 
         def loss_a():
-            return tt.tsum(ssm.selective_scan_parallel(xa, pa))
+            return tt.tsum(ssm.selective_scan(xa, pa))
 
         def loss_v():
-            return tt.tsum(ssm.selective_scan_parallel(xv, pv))
+            return tt.tsum(ssm.selective_scan(xv, pv))
 
         loss_a().backward()
         g_a = handle.w_shared.grad.copy()
@@ -312,9 +303,10 @@ class TestMambaBlock:
         x = Tensor(np.zeros((5, 4)))
         assert np.allclose(block(x).data, 0.0)
 
-    def test_engines_agree(self, rng):
+    def test_engines_agree(self, rng, monkeypatch):
         block = ssm.MambaBlock(6, rng, d_state=4)
         x = Tensor(rng.standard_normal((9, 6)))
-        y_par = block(x, engine="parallel").data
-        y_seq = block(x, engine="sequential").data
-        assert np.abs(y_par - y_seq).max() < 1e-10
+        y_fused = block(x).data
+        monkeypatch.setattr(ssm, "selective_scan", ssm.selective_scan_sequential)
+        y_seq = block(x).data
+        assert np.abs(y_fused - y_seq).max() < 1e-10

@@ -1,6 +1,7 @@
 """Tensor core: constructors, ops, autodiff contracts, AdamW."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -373,4 +374,20 @@ class TestCheckpointFormat:
         save_checkpoint(path, {"x": Tensor(np.zeros(2))})
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry, match", [
+        # name bytes that are not UTF-8, then a valid rank-1 entry
+        (struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<II", 1, 1) + b"\x00" * 8,
+         "UTF-8"),
+        # 65536**4 elements: np.prod wraps to 0 in int64, math.prod does not
+        (struct.pack("<I", 1) + b"x" + struct.pack("<5I", 4, *[65536] * 4), "truncated"),
+    ], ids=["non-utf8-name", "element-count-overflow"])
+    def test_malformed_entry_rejected(self, tmp_path, entry, match):
+        from avparse.checkpoint import load_checkpoint
+        from avparse.errors import CheckpointError
+
+        path = tmp_path / "m.mugc"
+        path.write_bytes(b"MUGC" + struct.pack("<II", 1, 1) + entry)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from avparse.checkpoint import load_checkpoint, save_checkpoint
+from avparse.cli import main as cli_main
 from avparse.data import SynthConfig, generate_synthetic_dataset, make_synthetic
 from avparse.errors import CheckpointError, ConfigError, TrainingError
 from avparse.model import AVMambaNet, ModelConfig, compute_loss
@@ -19,6 +21,16 @@ def tiny_dataset():
     cfg = SynthConfig(seed=5, n_videos=8, n_val=4, n_segments=6, n_classes=5,
                       d_audio=8, d_visual=8)
     return make_synthetic(cfg)
+
+
+def malformed_checkpoint(tmp_path, name, value):
+    """A tiny full-AMF checkpoint with entry ``name`` set to ``value``."""
+    path = tmp_path / "model.mugc"
+    save_model(path, AVMambaNet(ModelConfig(**TINY_MODEL), seed=0))
+    entries = load_checkpoint(path)
+    entries[name] = np.array(value, dtype=np.float64)
+    save_checkpoint(path, entries)
+    return path
 
 
 def tiny_train(ds, **overrides):
@@ -134,6 +146,49 @@ class TestCheckpointRoundTrip:
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(CheckpointError, match="truncated"):
             load_model(path)
+
+    def test_metadata_layout_and_non_default_roundtrip(self, tmp_path):
+        config = ModelConfig(**TINY_MODEL, lambda_audio=2.5, use_tsa=False,
+                             amf_mode="private", use_plsim=False)
+        path = tmp_path / "model.mugc"
+        save_model(path, AVMambaNet(config, seed=3))
+        stored = load_checkpoint(path)
+        meta = [name for name in stored if name.startswith("meta.")]
+        assert meta == ["meta." + name for name in (  # the on-disk order is part of the format
+            "n_segments", "dim", "n_classes", "d_state", "expand", "d_conv", "d_audio_in",
+            "d_visual_in", "text_dim", "lambda_audio", "lambda_visual", "use_tsa",
+            "amf_mode", "use_mfe", "use_plsim")]
+        assert list(stored)[:len(meta)] == meta
+        assert load_model(path).config == config
+
+    @pytest.mark.parametrize("name, value", [
+        ("meta.amf_mode", [-1.0]),  # must not load a full-AMF model as "off"
+        ("meta.amf_mode", [3.0]),
+        ("meta.amf_mode", [0.9]),
+        ("meta.dim", [12.5]),  # must not truncate to the real dim 12
+        ("meta.dim", [0.0]),
+        ("meta.use_tsa", [2.0]),
+        ("meta.use_tsa", [-1.0]),
+        ("meta.n_classes", [5.0, 5.0]),
+        ("meta.n_segments", []),
+        ("meta.lambda_audio", [np.nan]),
+        ("meta.d_state", [np.inf]),
+        ("meta.engine", [0.0]),
+        ("stray.weight", [1.0]),
+    ])
+    def test_malformed_metadata_rejected(self, tmp_path, name, value):
+        path = malformed_checkpoint(tmp_path, name, value)
+        with pytest.raises(CheckpointError):
+            load_model(path)
+
+    def test_eval_on_malformed_metadata_exits_one(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        generate_synthetic_dataset(
+            SynthConfig(seed=9, n_videos=2, n_val=2, n_segments=6, n_classes=5,
+                        d_audio=8, d_visual=8), str(data_dir))
+        path = malformed_checkpoint(tmp_path, "meta.amf_mode", [3.0])
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+        assert "meta.amf_mode" in capsys.readouterr().err
 
     def test_repeated_evaluation_identical(self, tiny_dataset):
         net, _ = tiny_train(tiny_dataset)
