@@ -16,7 +16,7 @@ import traceback
 from . import trainer as trainer_mod
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch, write_cmrc_outputs
 from .data import (SynthConfig, apply_annotation_patch, generate_synthetic_dataset,
-                   load_split, parse_manifest, write_label_csv)
+                   load_split, parse_manifest, read_key_values, write_label_csv)
 from .diagnostics import run_grad_checks, run_scan_checks
 from .errors import AvparseError, ParseError
 from .metrics import report_from_dumps
@@ -24,18 +24,11 @@ from .model import ModelConfig
 from .trainer import TrainConfig, evaluate_checkpoint, train_on_dir
 
 
+CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def parse_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path} line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+    return {key: value for _, key, value in read_key_values(path)}
 
 
 class Options:
@@ -49,12 +42,19 @@ class Options:
         cli_value = getattr(self.args, name.replace("-", "_"), None)
         if cli_value is not None:
             return cli_value
-        if name in self.config:
-            raw = self.config[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
+        if name not in self.config:
+            return default
+        raw = self.config[name]
+        if cast is bool:
+            if raw.lower() not in CONFIG_BOOLS:
+                raise ParseError(f"{self.args.config}: config key {name!r} must be one of "
+                                 f"{'/'.join(CONFIG_BOOLS)}, got {raw!r}")
+            return CONFIG_BOOLS[raw.lower()]
+        try:
             return cast(raw)
-        return default
+        except ValueError:
+            raise ParseError(f"{self.args.config}: config key {name!r} must be "
+                             f"{cast.__name__}, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -5,13 +5,19 @@ File formats (all versioned, all deterministic given their inputs):
 * feature files -- ``"AVMF" | version u32 | T u32 | D u32 | T*D f32 LE``;
 * label CSV -- header ``video_id,modality,segment,labels`` with semicolon-
   joined category names, empty labels meaning a null (unannotated) row; the
-  same schema carries pseudo-labels, ground truth and prediction dumps. The
-  writer marks rows that are annotated as event-free with the ``NONE`` token
-  so they survive a round trip without turning into nulls;
-* annotation patches -- same columns, labels ``DISCARD`` flagging the whole
-  video for exclusion from cross-modal combination;
-* manifest -- ``key = value`` lines plus one ``video = id|audio|visual|labels``
-  record per video, paths relative to the manifest.
+  same schema carries pseudo-labels, ground truth, prediction dumps and
+  annotation patches. The writer marks rows that are annotated as event-free
+  with the ``NONE`` token so they survive a round trip without turning into
+  nulls. ``read_label_rows`` is the one reader of its rows: it checks the
+  header, the 4 columns, the modality, the segment (an integer >= 0) and the
+  names, and rejects an empty name such as the middle of ``Dog;;Speech``;
+* annotation patches -- label-CSV rows that may only fill null rows, or have
+  labels ``DISCARD`` flagging the whole video for exclusion from cross-modal
+  combination;
+* manifest -- ``key = value`` lines (read by ``read_key_values``, which also
+  reads ``--config`` files) plus one ``video = id|audio|visual|labels`` record
+  per video, paths relative to the manifest. ``version`` and ``segments``
+  must be positive integers.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import csv
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,10 +76,6 @@ class VideoRecord:
     def has_nulls(self) -> bool:
         return bool(self.null_a.any() or self.null_v.any())
 
-    def pseudo_class_union(self) -> np.ndarray:
-        """0/1 vector of classes present in any segment of either modality."""
-        return ((self.pseudo_a.any(axis=0)) | (self.pseudo_v.any(axis=0))).astype(np.float64)
-
 
 @dataclass
 class Manifest:
@@ -118,67 +121,97 @@ def read_feature_file(path) -> np.ndarray:
 # -- label CSVs --------------------------------------------------------------------
 
 
-def _parse_label_field(raw: str) -> list[str]:
+class LabelRow(NamedTuple):
+    """One data row of a label CSV; ``annotated`` is false for a null row."""
+
+    where: str  # "<path> line <n>", the prefix of every error about this row
+    video_id: str
+    modality: str
+    segment: int
+    names: list[str]
+    annotated: bool
+
+
+def _split_names(raw: str, where: str) -> list[str]:
+    """Semicolon-joined category names; an empty field holds none."""
     raw = raw.strip()
     if not raw:
         return []
-    return [part.strip() for part in raw.split(";")]
+    names = [part.strip() for part in raw.split(";")]
+    if "" in names:
+        raise ParseError(f"{where}: empty category name in {raw!r}")
+    return names
 
 
-def parse_label_csv(path, vocabulary, n_segments: int | None = None):
-    """Parse a label CSV into per-video, per-modality matrices.
+def read_label_rows(path) -> list[LabelRow]:
+    """Read every row of a label CSV, checked against the shared schema.
 
-    Returns ``(table, n_segments)`` where ``table[video_id][modality]`` is a
-    ``(matrix [T, C], null_mask [T])`` pair. Rows absent from the file are
-    treated as null.
+    ``NONE`` gives an annotated row with no names, an empty field a null row.
+    Every error is a ``ParseError`` naming the path and line.
     """
-    class_index = {name: i for i, name in enumerate(vocabulary)}
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABEL_CSV_HEADER:
+        if next(reader, None) != LABEL_CSV_HEADER:
             raise ParseError(f"{path}: header must be {','.join(LABEL_CSV_HEADER)}")
         for row in reader:
-            line = reader.line_num
+            where = f"{path} line {reader.line_num}"
             if len(row) != 4:
-                raise ParseError(f"{path} line {line}: expected 4 columns, got {len(row)}")
+                raise ParseError(f"{where}: expected 4 columns, got {len(row)}")
             video_id, modality, seg_raw, labels_raw = row
             if modality not in ("a", "v"):
-                raise ParseError(f"{path} line {line}: modality must be 'a' or 'v', got {modality!r}")
+                raise ParseError(f"{where}: modality must be 'a' or 'v', got {modality!r}")
             try:
                 segment = int(seg_raw)
             except ValueError:
-                raise ParseError(f"{path} line {line}: segment {seg_raw!r} is not an integer") from None
-            if segment < 0 or (n_segments is not None and segment >= n_segments):
-                raise ParseError(f"{path} line {line}: segment {segment} out of range")
+                raise ParseError(f"{where}: segment {seg_raw!r} is not an integer") from None
+            if segment < 0:
+                raise ParseError(f"{where}: segment {segment} out of range")
             if labels_raw.strip() == EMPTY_TOKEN:
-                names: list[str] = []
-                annotated = True
+                names, annotated = [], True
             else:
-                names = _parse_label_field(labels_raw)
+                names = _split_names(labels_raw, where)
                 annotated = bool(names)
-                for name in names:
-                    if name not in class_index:
-                        raise ParseError(f"{path} line {line}: unknown category {name!r}")
-            rows.append((line, video_id, modality, segment, names, annotated))
-    t_len = n_segments if n_segments is not None else (
-        max((seg for _, _, _, seg, _, _ in rows), default=-1) + 1)
+            rows.append(LabelRow(where, video_id, modality, segment, names, annotated))
+    return rows
+
+
+def label_tables(rows: list[LabelRow], vocabulary, n_segments: int):
+    """Per-video, per-modality matrices from the rows of one label CSV.
+
+    ``table[video_id][modality]`` is a ``(matrix [T, C], null_mask [T])``
+    pair. Rows absent from the file are treated as null.
+    """
+    class_index = {name: i for i, name in enumerate(vocabulary)}
     table: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
     seen: set[tuple[str, str, int]] = set()
-    for line, video_id, modality, segment, names, annotated in rows:
+    for where, video_id, modality, segment, names, annotated in rows:
+        if segment >= n_segments:
+            raise ParseError(f"{where}: segment {segment} out of range")
         key = (video_id, modality, segment)
         if key in seen:
-            raise ParseError(f"{path} line {line}: duplicate row for {key}")
+            raise ParseError(f"{where}: duplicate row for {key}")
         seen.add(key)
         per_video = table.setdefault(video_id, {})
         if modality not in per_video:
-            per_video[modality] = (np.zeros((t_len, len(vocabulary))), np.ones(t_len, dtype=bool))
+            per_video[modality] = (np.zeros((n_segments, len(vocabulary))),
+                                   np.ones(n_segments, dtype=bool))
         matrix, null_mask = per_video[modality]
         null_mask[segment] = not annotated
         for name in names:
+            if name not in class_index:
+                raise ParseError(f"{where}: unknown category {name!r}")
             matrix[segment, class_index[name]] = 1.0
-    return table, t_len
+    return table
+
+
+def parse_label_csv(path, vocabulary, n_segments: int | None = None):
+    """Parse a label CSV into ``(label_tables(...), n_segments)``; without
+    ``n_segments`` the count is the largest segment in the file plus one."""
+    rows = read_label_rows(path)
+    if n_segments is None:
+        n_segments = max((row.segment for row in rows), default=-1) + 1
+    return label_tables(rows, vocabulary, n_segments), n_segments
 
 
 def write_label_csv(path, table, vocabulary, n_segments: int) -> None:
@@ -215,44 +248,28 @@ def apply_annotation_patch(records: list[VideoRecord], patch_path, vocabulary) -
     """
     by_id = {r.video_id: r for r in records}
     class_index = {name: i for i, name in enumerate(vocabulary)}
-    with open(patch_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABEL_CSV_HEADER:
-            raise ParseError(f"{patch_path}: header must be {','.join(LABEL_CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 4:
-                raise ParseError(f"{patch_path} line {line}: expected 4 columns")
-            video_id, modality, seg_raw, labels_raw = row
-            record = by_id.get(video_id)
-            if record is None:
-                raise PatchError(f"{patch_path} line {line}: unknown video {video_id!r}")
-            if modality not in ("a", "v"):
-                raise ParseError(f"{patch_path} line {line}: bad modality {modality!r}")
-            try:
-                segment = int(seg_raw)
-            except ValueError:
-                raise ParseError(f"{patch_path} line {line}: bad segment {seg_raw!r}") from None
-            if not 0 <= segment < record.pseudo_a.shape[0]:
-                raise ParseError(f"{patch_path} line {line}: segment {segment} out of range")
-            if labels_raw.strip() == DISCARD_TOKEN:
-                record.discard = True
-                continue
-            names = _parse_label_field(labels_raw)
-            if not names:
-                raise ParseError(f"{patch_path} line {line}: empty patch labels")
-            matrix, null_mask = ((record.pseudo_a, record.null_a) if modality == "a"
-                                 else (record.pseudo_v, record.null_v))
-            if not null_mask[segment]:
-                raise PatchError(
-                    f"{patch_path} line {line}: segment {segment} of {video_id}/{modality} "
-                    "is already annotated; patches may only fill null rows")
-            for name in names:
-                if name not in class_index:
-                    raise ParseError(f"{patch_path} line {line}: unknown category {name!r}")
-                matrix[segment, class_index[name]] = 1.0
-            null_mask[segment] = False
+    for row in read_label_rows(patch_path):
+        record = by_id.get(row.video_id)
+        if record is None:
+            raise PatchError(f"{row.where}: unknown video {row.video_id!r}")
+        if row.segment >= record.pseudo_a.shape[0]:
+            raise ParseError(f"{row.where}: segment {row.segment} out of range")
+        if row.names == [DISCARD_TOKEN]:
+            record.discard = True
+            continue
+        if not row.names:
+            raise ParseError(f"{row.where}: empty patch labels")
+        matrix, null_mask = ((record.pseudo_a, record.null_a) if row.modality == "a"
+                             else (record.pseudo_v, record.null_v))
+        if not null_mask[row.segment]:
+            raise PatchError(
+                f"{row.where}: segment {row.segment} of {row.video_id}/{row.modality} "
+                "is already annotated; patches may only fill null rows")
+        for name in row.names:
+            if name not in class_index:
+                raise ParseError(f"{row.where}: unknown category {name!r}")
+            matrix[row.segment, class_index[name]] = 1.0
+        null_mask[row.segment] = False
     return records
 
 
@@ -275,9 +292,13 @@ def write_manifest(path, split: str, n_segments: int, classes, records) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def parse_manifest(path) -> Manifest:
-    keys: dict[str, str] = {}
-    videos: list[tuple[str, str, str, frozenset]] = []
+def read_key_values(path) -> list[tuple[int, str, str]]:
+    """``(line, key, value)`` for each ``key = value`` line of a text file.
+
+    Blank lines and lines starting with ``#`` are skipped; any other line
+    without ``=`` is a ``ParseError``.
+    """
+    entries = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -286,24 +307,38 @@ def parse_manifest(path) -> Manifest:
             if "=" not in line:
                 raise ParseError(f"{path} line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "video":
-                parts = value.split("|")
-                if len(parts) != 4:
-                    raise ParseError(f"{path} line {lineno}: video record needs 4 '|' fields")
-                vid, audio_path, visual_path, labels_raw = parts
-                videos.append((vid, audio_path, visual_path,
-                               frozenset(_parse_label_field(labels_raw))))
-            else:
-                keys[key] = value
+            entries.append((lineno, key.strip(), value.strip()))
+    return entries
+
+
+def _manifest_int(path, keys: dict[str, str], key: str) -> int:
+    if not keys[key].isdecimal() or int(keys[key]) < 1:
+        raise ParseError(f"{path}: manifest key {key!r} must be a positive integer, "
+                         f"got {keys[key]!r}")
+    return int(keys[key])
+
+
+def parse_manifest(path) -> Manifest:
+    keys: dict[str, str] = {}
+    videos: list[tuple[str, str, str, frozenset]] = []
+    for lineno, key, value in read_key_values(path):
+        if key == "video":
+            parts = value.split("|")
+            if len(parts) != 4:
+                raise ParseError(f"{path} line {lineno}: video record needs 4 '|' fields")
+            vid, audio_path, visual_path, labels_raw = parts
+            videos.append((vid, audio_path, visual_path,
+                           frozenset(_split_names(labels_raw, f"{path} line {lineno}"))))
+        else:
+            keys[key] = value
     for required in ("format", "version", "split", "segments", "classes"):
         if required not in keys:
             raise ParseError(f"{path}: missing manifest key {required!r}")
     if keys["format"] != MANIFEST_FORMAT:
         raise ParseError(f"{path}: format is {keys['format']!r}, expected {MANIFEST_FORMAT!r}")
-    if int(keys["version"]) != MANIFEST_VERSION:
+    if _manifest_int(path, keys, "version") != MANIFEST_VERSION:
         raise ParseError(f"{path}: unsupported manifest version {keys['version']}")
-    classes = _parse_label_field(keys["classes"])
+    classes = list(_split_names(keys["classes"], f"{path}: manifest key 'classes'"))
     if len(set(classes)) != len(classes):
         raise ParseError(f"{path}: duplicate class names")
     ids = [v[0] for v in videos]
@@ -314,7 +349,7 @@ def parse_manifest(path) -> Manifest:
         unknown = labels - class_set
         if unknown:
             raise ParseError(f"{path}: video {vid} has unknown labels {sorted(unknown)}")
-    return Manifest(keys["split"], int(keys["segments"]), classes, videos)
+    return Manifest(keys["split"], _manifest_int(path, keys, "segments"), classes, videos)
 
 
 # -- synthetic dataset ----------------------------------------------------------------

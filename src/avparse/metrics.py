@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import EMPTY_TOKEN, LABEL_CSV_HEADER, parse_label_csv
+from .data import label_tables, read_label_rows
 from .errors import ConfigError, EvaluationError, ShapeError
 
 REPORT_COLUMNS = [
@@ -250,44 +250,24 @@ def aggregate_report(predictions, truths, iou_threshold: float = 0.5) -> MetricR
 # -- dump-file evaluation ------------------------------------------------------------
 
 
-def _scan_csv_labels(path) -> tuple[set[str], int]:
-    """Collect category names and the segment count implied by a label CSV."""
-    names: set[str] = set()
-    max_segment = -1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABEL_CSV_HEADER:
-            raise EvaluationError(f"{path}: not a label CSV (bad header)")
-        for row in reader:
-            if len(row) != 4:
-                continue
-            try:
-                max_segment = max(max_segment, int(row[2]))
-            except ValueError:
-                continue
-            field = row[3].strip()
-            if field and field != EMPTY_TOKEN:
-                names.update(part.strip() for part in field.split(";"))
-    return names, max_segment + 1
-
-
 def report_from_dumps(pred_path, gt_path, classes=None,
                       iou_threshold: float = 0.5) -> MetricReport:
     """Score prediction dumps against ground-truth dumps, no model involved.
 
-    When ``classes`` is not given the vocabulary is the sorted union of the
-    names appearing in either file.
+    Each file is read once. When ``classes`` is not given the vocabulary is
+    the sorted union of the names appearing in either file; the segment count
+    is the largest segment in either file plus one.
     """
-    names_p, t_p = _scan_csv_labels(pred_path)
-    names_g, t_g = _scan_csv_labels(gt_path)
+    pred_rows = read_label_rows(pred_path)
+    gt_rows = read_label_rows(gt_path)
+    rows = pred_rows + gt_rows
     if classes is None:
-        classes = sorted(names_p | names_g)
-    n_segments = max(t_p, t_g)
+        classes = sorted({name for row in rows for name in row.names})
+    n_segments = max((row.segment for row in rows), default=-1) + 1
     if n_segments < 1:
         raise EvaluationError("no segments found in either dump file")
-    pred_table, _ = parse_label_csv(pred_path, classes, n_segments)
-    gt_table, _ = parse_label_csv(gt_path, classes, n_segments)
+    pred_table = label_tables(pred_rows, classes, n_segments)
+    gt_table = label_tables(gt_rows, classes, n_segments)
     c = len(classes)
     zero = np.zeros((n_segments, c))
     preds = {}

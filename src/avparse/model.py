@@ -80,21 +80,8 @@ class ModelOutputs:
     seg_prob_v: Tensor
     video_prob: Tensor  # [C]
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass
-class StageFeatures:
-    """Intermediate features, one entry per enabled stage (``None`` if skipped)."""
-
-    tsa_out_a: Tensor | None = None
-    tsa_out_v: Tensor | None = None
-    amf_out_a: Tensor | None = None
-    amf_out_v: Tensor | None = None
-    amf_mix: Tensor | None = None
-    mfe_out_a: Tensor | None = None
-    mfe_out_v: Tensor | None = None
-    plsim_out_a: Tensor | None = None
-    plsim_out_v: Tensor | None = None
+    # each enabled stage's output in pipeline order, e.g. "tsa_out_a", "amf_mix"
+    stages: dict[str, Tensor] = field(default_factory=dict)
 
 
 # -- text stub -----------------------------------------------------------------
@@ -400,13 +387,12 @@ class AVMambaNet(Module):
                 raise ShapeError(f"{name} text embedding must be [{t}, {cfg.text_dim}], got {text.shape}")
 
     def forward(self, audio: np.ndarray, visual: np.ndarray,
-                text_a: np.ndarray | None = None, text_v: np.ndarray | None = None,
-                return_stages: bool = False):
+                text_a: np.ndarray | None = None, text_v: np.ndarray | None = None) -> ModelOutputs:
         cfg = self.config
         audio = np.asarray(audio, dtype=np.float64)
         visual = np.asarray(visual, dtype=np.float64)
         self._check_inputs(audio, visual, text_a, text_v)
-        stages = StageFeatures()
+        stages: dict[str, Tensor] = {}
         t = cfg.n_segments
 
         f_a = self.proj_a(Tensor(audio))
@@ -414,26 +400,26 @@ class AVMambaNet(Module):
         if cfg.use_tsa:
             f_a = self.tsa_a(f_a)
             f_v = self.tsa_v(f_v)
-            stages.tsa_out_a, stages.tsa_out_v = f_a, f_v
+            stages.update(tsa_out_a=f_a, tsa_out_v=f_v)
+        mix = None
         if cfg.amf_mode != "off":
             f_a, f_v, mix = self.amf(f_a, f_v)
-            stages.amf_out_a, stages.amf_out_v, stages.amf_mix = f_a, f_v, mix
-        else:
-            mix = None
+            stages.update(amf_out_a=f_a, amf_out_v=f_v)
+            if mix is not None:
+                stages["amf_mix"] = mix
         if cfg.use_mfe:
             if mix is None:
                 mix = tt.zeros((t, cfg.dim))
             f_a, f_v = self.mfe(f_a, f_v, mix)
-            stages.mfe_out_a, stages.mfe_out_v = f_a, f_v
+            stages.update(mfe_out_a=f_a, mfe_out_v=f_v)
         if cfg.use_plsim:
             ta = Tensor(text_a if text_a is not None else np.zeros((t, cfg.text_dim)))
             tv = Tensor(text_v if text_v is not None else np.zeros((t, cfg.text_dim)))
             f_a, f_v = self.plsim(f_a, f_v, ta, tv)
-            stages.plsim_out_a, stages.plsim_out_v = f_a, f_v
+            stages.update(plsim_out_a=f_a, plsim_out_v=f_v)
         g_a, g_v = self.han(f_a, f_v)
         outputs = self.mmil(g_a, g_v)
-        if return_stages:
-            return outputs, stages
+        outputs.stages = stages
         return outputs
 
 

@@ -338,8 +338,7 @@ class MambaBlock(Module):
     """
 
     def __init__(self, d_model: int, rng: np.random.Generator, d_state: int = 16,
-                 expand: int = 2, d_conv: int = 4,
-                 shared: SharedMatrixHandle | None = None, modality: str | None = None):
+                 expand: int = 2, d_conv: int = 4):
         super().__init__()
         self.d_model = d_model
         self.d_inner = expand * d_model
@@ -352,8 +351,7 @@ class MambaBlock(Module):
             "conv_w", rng.standard_normal((d_conv, self.d_inner)) / np.sqrt(d_conv))
         self.conv_b = self._register("conv_b", np.zeros(self.d_inner))
         self.ssm = self._child(
-            "ssm", SsmParams(self.d_inner, d_state, rng, default_dt_rank(d_model),
-                             shared=shared, modality=modality))
+            "ssm", SsmParams(self.d_inner, d_state, rng, default_dt_rank(d_model)))
         self.w_out = self._register(
             "w_out", rng.standard_normal((self.d_inner, d_model)) / np.sqrt(self.d_inner))
         self.b_out = self._register("b_out", np.zeros(d_model))

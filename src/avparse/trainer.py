@@ -129,7 +129,11 @@ def save_model(path, net: AVMambaNet) -> None:
 def load_model(path) -> AVMambaNet:
     stored = load_checkpoint(path)
     config = _config_from_meta(stored)
-    net = AVMambaNet(config, seed=0)
+    try:
+        net = AVMambaNet(config, seed=0)
+    except (ValueError, MemoryError) as exc:  # e.g. meta.dim = 2**62: "array is too big"
+        raise CheckpointError(f"{path}: metadata describes a model that cannot be built: "
+                              f"{exc}") from exc
     params = net.parameters()
     meta_names = {META_PREFIX + f.name for f in fields(ModelConfig)}
     unknown = [name for name in stored if name not in params and name not in meta_names]
@@ -168,28 +172,19 @@ class TextCache:
         return hit
 
 
-def forward_record(net: AVMambaNet, record: VideoRecord, texts: TextCache | None,
-                   return_stages: bool = False):
+def forward_record(net: AVMambaNet, record: VideoRecord, texts: TextCache | None):
     text_a = text_v = None
     if net.config.use_plsim and texts is not None:
         text_a, text_v = texts.get(record)
-    return net.forward(record.audio, record.visual, text_a, text_v,
-                       return_stages=return_stages)
+    return net.forward(record.audio, record.visual, text_a, text_v)
 
 
-def _first_nonfinite(net, record, texts) -> str:
-    outputs, stages = forward_record(net, record, texts, return_stages=True)
-    ordered = [
-        ("tsa_out_a", stages.tsa_out_a), ("tsa_out_v", stages.tsa_out_v),
-        ("amf_out_a", stages.amf_out_a), ("amf_out_v", stages.amf_out_v),
-        ("amf_mix", stages.amf_mix),
-        ("mfe_out_a", stages.mfe_out_a), ("mfe_out_v", stages.mfe_out_v),
-        ("plsim_out_a", stages.plsim_out_a), ("plsim_out_v", stages.plsim_out_v),
-        ("seg_prob_a", outputs.seg_prob_a), ("seg_prob_v", outputs.seg_prob_v),
-        ("video_prob", outputs.video_prob),
-    ]
-    for name, t in ordered:
-        if t is not None and not np.all(np.isfinite(t.data)):
+def _first_nonfinite(outputs) -> str:
+    """Name of the first stage output, then head output, holding a non-finite value."""
+    ordered = {**outputs.stages, "seg_prob_a": outputs.seg_prob_a,
+               "seg_prob_v": outputs.seg_prob_v, "video_prob": outputs.video_prob}
+    for name, t in ordered.items():
+        if not np.all(np.isfinite(t.data)):
             return name
     return "loss"
 
@@ -267,7 +262,7 @@ def train(model_config: ModelConfig, train_records, classes,
                     record.null_a, record.null_v,
                     model_config.lambda_audio, model_config.lambda_visual)
                 if not np.isfinite(loss.data):
-                    culprit = _first_nonfinite(net, record, texts)
+                    culprit = _first_nonfinite(outputs)
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, video {record.video_id}; "
                         f"first non-finite tensor: {culprit}")

@@ -179,6 +179,28 @@ class TestArgumentHandling:
         bad.write_text("this is not a key value line\n")
         assert main(["synth", "--out", str(tmp_path / "o"), "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command, line", [
+        (["train", "--data", "no_data"], "epochs = x"),
+        (["synth"], "seed = 1.5"),
+        (["synth"], "shared-directions = ture"),  # not silently read as false
+    ])
+    def test_malformed_config_value_exit_one(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main([*command, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "bad.cfg" in err and repr(line.split()[0]) in err
+
+    @pytest.mark.parametrize("key", ["version", "segments"])
+    def test_malformed_manifest_number_exit_one(self, tmp_path, capsys, key):
+        lines = {"format": "avparse-manifest", "version": "1", "split": "train",
+                 "segments": "6", "classes": "a;b", key: "x"}
+        (tmp_path / "manifest_train.txt").write_text(
+            "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert main(["augment", "--data", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "manifest_train.txt" in err and repr(key) in err
+
     def test_parse_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("# comment\nepochs = 3\n\nlr = 0.001\n")

@@ -202,6 +202,21 @@ class TestManifest:
         with pytest.raises(ParseError, match="duplicate video ids"):
             data.parse_manifest(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("version", "x", "'version' must be a positive integer"),
+        ("segments", "x", "'segments' must be a positive integer"),
+        ("segments", "0", "'segments' must be a positive integer"),
+        ("classes", "Dog;;Speech", "empty category name"),
+    ])
+    def test_malformed_value_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "m.txt"
+        data.write_manifest(path, "train", 10, VOCAB, [("vid1", "a", "v", ["Dog"])])
+        lines = path.read_text().splitlines()
+        write_lines(path, [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                           for line in lines])
+        with pytest.raises(ParseError, match=message):
+            data.parse_manifest(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         write_lines(path, ["format = avparse-manifest", "version = 1"])

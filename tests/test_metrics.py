@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from avparse import metrics
-from avparse.errors import ConfigError, EvaluationError, ShapeError
+from avparse.errors import ConfigError, EvaluationError, ParseError, ShapeError
 from avparse.metrics import (EventInterval, SegmentPrediction, aggregate_report,
                              binarize, event_f1, extract_events, interval_iou,
                              match_events, segment_f1)
@@ -301,6 +301,16 @@ class TestDumpRoundTrip:
         # inferred vocabulary reorders classes; scores must not change
         for name, expected in FIXTURE_EXPECTED.items():
             assert getattr(report, name) == pytest.approx(expected, abs=1e-12), name
+
+    def test_empty_category_name_rejected(self, tmp_path):
+        # with an inferred vocabulary, '' must not become a phantom class
+        header = "video_id,modality,segment,labels"
+        pred_path = tmp_path / "pred.csv"
+        gt_path = tmp_path / "gt.csv"
+        pred_path.write_text(f"{header}\nv1,a,0,x;;y\nv1,a,1,x\n")
+        gt_path.write_text(f"{header}\nv1,a,0,x;y\nv1,a,1,x\n")
+        with pytest.raises(ParseError, match=r"pred\.csv line 2: empty category name"):
+            metrics.report_from_dumps(pred_path, gt_path)
 
     def test_report_csv_roundtrip(self, tmp_path):
         preds, gt = fixture_three_videos()

@@ -294,11 +294,10 @@ class TestFullModel:
 
     def test_stage_shapes_preserved(self, rng):
         net, cfg = self.make_net()
-        _, stages = net.forward(rng.standard_normal((4, 5)), rng.standard_normal((4, 7)),
-                                return_stages=True)
+        stages = net.forward(rng.standard_normal((4, 5)), rng.standard_normal((4, 7))).stages
         for name in ("tsa_out_a", "tsa_out_v", "amf_out_a", "amf_out_v", "amf_mix",
                      "mfe_out_a", "mfe_out_v", "plsim_out_a", "plsim_out_v"):
-            stage = getattr(stages, name)
+            stage = stages.get(name)
             assert stage is not None and stage.shape == (4, 8), name
 
     def test_feature_width_mismatch_rejected(self, rng):

@@ -175,6 +175,7 @@ class TestCheckpointRoundTrip:
         ("meta.d_state", [np.inf]),
         ("meta.engine", [0.0]),
         ("stray.weight", [1.0]),
+        ("meta.dim", [2.0 ** 62]),  # integral, but no array that size can exist
     ])
     def test_malformed_metadata_rejected(self, tmp_path, name, value):
         path = malformed_checkpoint(tmp_path, name, value)
