@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Manifest, VideoRecord, write_label_csv, write_manifest
-from .errors import CapacityError, CombineError, ConfigError
+from .errors import NON_NEGATIVE, CapacityError, CombineError, check_fields
 
 PROVENANCE_HEADER = ["new_id", "visual_donor", "audio_donor"]
 
@@ -28,12 +28,7 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.multiplier < 0:
-            raise ConfigError(f"multiplier must be >= 0, got {self.multiplier}")
-        if self.target_count is not None and self.target_count < 0:
-            raise ConfigError("target_count must be >= 0")
-        if self.min_count < 0:
-            raise ConfigError("min_count must be >= 0")
+        check_fields(self, NON_NEGATIVE, "multiplier", "target_count", "min_count", "seed")
 
     def resolve_target(self, pool_size: int) -> int:
         if self.target_count is not None:

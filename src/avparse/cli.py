@@ -1,24 +1,29 @@
 """Command-line interface.
 
 Commands: synth, augment, train, eval, ablate, metrics, scan-check,
-grad-check. Every command honors ``--seed`` and ``--config`` (a ``key =
-value`` text file supplying defaults for flags not given on the command
-line). Exit codes: 0 success, 1 validation error, 2 internal error.
+grad-check. Every command takes ``--config``, a ``key = value`` text file
+supplying values for flags not given on the command line. Each command's
+settable flags are a table mapping the flag to a field of a config
+dataclass (or a parameter of the function it calls); that field's type,
+default and checks are the flag's. Exit codes: 0 success, 1 validation
+error, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import traceback
+import typing
 
 from . import trainer as trainer_mod
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch, write_cmrc_outputs
 from .data import (SynthConfig, apply_annotation_patch, generate_synthetic_dataset,
                    load_split, parse_manifest, read_key_values, write_label_csv)
 from .diagnostics import run_grad_checks, run_scan_checks
-from .errors import AvparseError, ParseError
+from .errors import AvparseError, ConfigError, ParseError
 from .metrics import report_from_dumps
 from .model import ModelConfig
 from .trainer import TrainConfig, evaluate_checkpoint, train_on_dir
@@ -27,40 +32,107 @@ from .trainer import TrainConfig, evaluate_checkpoint, train_on_dir
 CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _flags(target, **names) -> dict:
+    """``{flag: (target, name)}``; each keyword is a flag with ``_`` for ``-``."""
+    return {flag.replace("_", "-"): (target, name) for flag, name in names.items()}
+
+
+_TRAIN_FLAGS = {
+    **_flags(TrainConfig, epochs="epochs", batch_size="batch_size", lr="learning_rate",
+             weight_decay="weight_decay", multiplier="cmrc_multiplier", seed="seed"),
+    **_flags(ModelConfig, dim="dim"),
+}
+
+# The flags each command reads from the command line or its config file.
+COMMAND_FLAGS = {
+    "synth": _flags(SynthConfig, videos="n_videos", val="n_val", segments="n_segments",
+                    classes="n_classes", audio_dim="d_audio", visual_dim="d_visual",
+                    noise="noise", noise_audio="noise_audio", noise_visual="noise_visual",
+                    flip_rate="flip_rate", correlation="correlation",
+                    shared_directions="shared_directions", seed="seed"),
+    "augment": _flags(AugmentConfig, multiplier="multiplier", count="target_count",
+                      min_count="min_count", seed="seed"),
+    "train": _TRAIN_FLAGS,
+    "eval": _flags(evaluate_checkpoint, split="split"),
+    "ablate": {flag: pair for flag, pair in _TRAIN_FLAGS.items() if flag != "weight-decay"},
+    "metrics": {},
+    "scan-check": _flags(run_scan_checks, cases="cases", seed="seed"),
+    "grad-check": _flags(run_grad_checks, seed="seed"),
+}
+
+
+def _flag_type(target, name: str) -> type:
+    """The annotated type of ``target``'s field or parameter, without ``| None``."""
+    hint = typing.get_type_hints(target)[name]
+    args = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return args[0] if args else hint
+
+
 def parse_config_file(path) -> dict[str, str]:
     return {key: value for _, key, value in read_key_values(path)}
 
 
 class Options:
-    """Resolution order: explicit flag > config file > built-in default."""
+    """One command's flag values: an explicit flag wins over the config file,
+    and a flag set by neither keeps its field's default."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.config = parse_config_file(args.config) if args.config else {}
+        self.flags = COMMAND_FLAGS[args.command]
+        self.from_file = {}
+        if args.config:
+            for key, raw in parse_config_file(args.config).items():
+                if key not in self.flags:
+                    raise ParseError(f"{args.config}: unknown config key {key!r}; "
+                                     f"`avparse {args.command}` reads "
+                                     f"{', '.join(self.flags) or 'no keys'}")
+                self.from_file[key] = self._cast(key, raw)
 
-    def get(self, name: str, cast, default):
-        cli_value = getattr(self.args, name.replace("-", "_"), None)
-        if cli_value is not None:
-            return cli_value
-        if name not in self.config:
-            return default
-        raw = self.config[name]
-        if cast is bool:
+    def _cast(self, key: str, raw: str):
+        kind = _flag_type(*self.flags[key])
+        if kind is bool:
             if raw.lower() not in CONFIG_BOOLS:
-                raise ParseError(f"{self.args.config}: config key {name!r} must be one of "
+                raise ParseError(f"{self.args.config}: config key {key!r} must be one of "
                                  f"{'/'.join(CONFIG_BOOLS)}, got {raw!r}")
             return CONFIG_BOOLS[raw.lower()]
         try:
-            return cast(raw)
+            return kind(raw)
         except ValueError:
-            raise ParseError(f"{self.args.config}: config key {name!r} must be "
-                             f"{cast.__name__}, got {raw!r}") from None
+            raise ParseError(f"{self.args.config}: config key {key!r} must be "
+                             f"{kind.__name__}, got {raw!r}") from None
+
+    def build(self, target, *args, **kwargs):
+        """Call ``target`` with ``args``, ``kwargs`` and every flag mapped to it
+        that was set; a ``ConfigError`` about one of those names its source."""
+        given, source = {}, {}
+        for flag, (owner, name) in self.flags.items():
+            if owner is not target:
+                continue
+            value = getattr(self.args, flag.replace("-", "_"))
+            if value is not None:
+                given[name], source[name] = value, f"--{flag}"
+            elif flag in self.from_file:
+                given[name] = self.from_file[flag]
+                source[name] = f"{self.args.config}: config key {flag!r}"
+        try:
+            return target(*args, **kwargs, **given)
+        except ConfigError as exc:
+            if exc.field not in source:
+                raise
+            raise ConfigError(f"{source[exc.field]}: {exc}", field=exc.field) from exc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    for flag, (target, name) in COMMAND_FLAGS[command].items():
+        default = inspect.signature(target).parameters[name].default
+        help_text = f"default {default} ({target.__name__}.{name})"
+        kind = _flag_type(target, name)
+        if kind is bool:
+            parser.add_argument(f"--{flag}", action="store_true", default=None, help=help_text)
+        else:
+            parser.add_argument(f"--{flag}", type=kind, default=None, help=help_text)
     parser.add_argument("--config", type=str, default=None,
-                        help="key = value file supplying flag defaults")
+                        help="key = value file supplying values for flags not given")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,73 +144,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--videos", type=int, default=None)
-    p.add_argument("--val", type=int, default=None)
-    p.add_argument("--segments", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--audio-dim", type=int, default=None)
-    p.add_argument("--visual-dim", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--noise-audio", type=float, default=None)
-    p.add_argument("--noise-visual", type=float, default=None)
-    p.add_argument("--flip-rate", type=float, default=None)
-    p.add_argument("--correlation", type=float, default=None)
-    p.add_argument("--shared-directions", action="store_true", default=None)
-    _add_common(p)
+    _add_flags(p, "synth")
 
     p = sub.add_parser("augment", help="generate a cross-modal combination batch")
     p.add_argument("--data", required=True, help="dataset directory (train split)")
     p.add_argument("--out", required=True)
-    p.add_argument("--multiplier", type=float, default=None)
-    p.add_argument("--count", type=int, default=None, help="explicit target count")
-    p.add_argument("--min-count", type=int, default=None)
     p.add_argument("--patch", type=str, default=None, help="annotation patch CSV")
-    _add_common(p)
+    _add_flags(p, "augment")
 
     p = sub.add_parser("train", help="train a model on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--multiplier", type=float, default=None, help="CMRC multiplier (0 = off)")
-    p.add_argument("--dim", type=int, default=None, help="internal feature width")
-    _add_common(p)
+    _add_flags(p, "train")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", type=str, default=None)
     p.add_argument("--out", type=str, default=None, help="directory for report + dump CSVs")
-    _add_common(p)
+    _add_flags(p, "eval")
 
     p = sub.add_parser("ablate", help="train and evaluate an ablated variant")
-    p.add_argument("--component", required=True,
-                   help="one of CMRC, TSA, AMF, MFE, PLSIM")
+    p.add_argument("--component", required=True, type=str.lower,
+                   choices=tuple(trainer_mod.ABLATIONS), help="the component to disable")
     p.add_argument("--data", required=True)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--multiplier", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    _add_common(p)
+    _add_flags(p, "ablate")
 
     p = sub.add_parser("metrics", help="score prediction dumps against ground truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", type=str, default=None, help="write the ten-score CSV here")
-    _add_common(p)
+    _add_flags(p, "metrics")
 
     p = sub.add_parser("scan-check", help="run the scan oracle-equivalence suite")
-    p.add_argument("--cases", type=int, default=None)
-    _add_common(p)
+    _add_flags(p, "scan-check")
 
     p = sub.add_parser("grad-check", help="run the finite-difference gradient suite")
     p.add_argument("--skip-model", action="store_true",
                    help="check ops only, skip the tiny end-to-end model")
-    _add_common(p)
+    _add_flags(p, "grad-check")
     return parser
 
 
@@ -146,38 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    opt = Options(args)
-    cfg = SynthConfig(
-        seed=opt.get("seed", int, 0),
-        n_videos=opt.get("videos", int, 200),
-        n_val=opt.get("val", int, 60),
-        n_segments=opt.get("segments", int, 10),
-        n_classes=opt.get("classes", int, 25),
-        d_audio=opt.get("audio-dim", int, 64),
-        d_visual=opt.get("visual-dim", int, 64),
-        noise=opt.get("noise", float, 0.1),
-        noise_audio=opt.get("noise-audio", float, None),
-        noise_visual=opt.get("noise-visual", float, None),
-        flip_rate=opt.get("flip-rate", float, 0.0),
-        correlation=opt.get("correlation", float, 0.0),
-        shared_directions=bool(opt.get("shared-directions", bool, False)),
-    )
+    cfg = Options(args).build(SynthConfig)
     ds = generate_synthetic_dataset(cfg, args.out)
     print(f"wrote {len(ds.train)} train + {len(ds.val)} val videos to {args.out}")
     return 0
 
 
 def cmd_augment(args) -> int:
-    opt = Options(args)
+    config = Options(args).build(AugmentConfig)
     split = load_split(args.data, "train")
     if args.patch:
         apply_annotation_patch(split.records, args.patch, split.classes)
-    config = AugmentConfig(
-        multiplier=opt.get("multiplier", float, 1.0),
-        target_count=opt.get("count", int, None),
-        min_count=opt.get("min-count", int, 50),
-        seed=opt.get("seed", int, 0),
-    )
     dist = count_label_distribution(split.records, config.min_count)
     batch = generate_cmrc_batch(split.records, dist, config)
     manifest = parse_manifest(os.path.join(args.data, "manifest_train.txt"))
@@ -187,22 +210,13 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _train_configs(opt) -> tuple[ModelConfig, TrainConfig]:
-    model_config = ModelConfig(dim=opt.get("dim", int, 64))
-    train_config = TrainConfig(
-        epochs=opt.get("epochs", int, 20),
-        batch_size=opt.get("batch-size", int, 16),
-        learning_rate=opt.get("lr", float, 3e-4),
-        weight_decay=opt.get("weight-decay", float, 0.01),
-        seed=opt.get("seed", int, 0),
-        cmrc_multiplier=opt.get("multiplier", float, 0.0),
-    )
-    return model_config, train_config
+def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
+    opt = Options(args)
+    return opt.build(ModelConfig), opt.build(TrainConfig)
 
 
 def cmd_train(args) -> int:
-    opt = Options(args)
-    model_config, train_config = _train_configs(opt)
+    model_config, train_config = _train_configs(args)
     net, log, checkpoint_path = train_on_dir(args.data, args.out, model_config, train_config)
     last = log.entries[-1]
     print(f"trained {len(log.entries)} epochs ({log.parameter_count} parameters), "
@@ -214,23 +228,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    opt = Options(args)
-    split = opt.get("split", str, "val")
-    report, preds, loaded = evaluate_checkpoint(args.checkpoint, args.data, split)
+    report, preds, loaded = Options(args).build(evaluate_checkpoint, args.checkpoint, args.data)
     print(report.table())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        report.write_csv(os.path.join(args.out, f"report_{split}.csv"))
+        report.write_csv(os.path.join(args.out, f"report_{loaded.split}.csv"))
         dump = {vid: {"a": p.pred_a, "v": p.pred_v} for vid, p in preds.items()}
-        write_label_csv(os.path.join(args.out, f"predictions_{split}.csv"),
+        write_label_csv(os.path.join(args.out, f"predictions_{loaded.split}.csv"),
                         dump, loaded.classes, loaded.n_segments)
         print(f"wrote report and prediction dump to {args.out}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    opt = Options(args)
-    model_config, train_config = _train_configs(opt)
+    model_config, train_config = _train_configs(args)
     train_split = load_split(args.data, "train")
     val_split = load_split(args.data, "val")
     model_config = trainer_mod._config_for_split(train_split, model_config)
@@ -246,6 +257,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    Options(args)  # reads and checks the config file; no flag of this command is settable
     report = report_from_dumps(args.pred, args.gt)
     print(report.table())
     if args.out:
@@ -255,18 +267,14 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_scan_check(args) -> int:
-    opt = Options(args)
-    results = run_scan_checks(seed=opt.get("seed", int, 0),
-                              cases=opt.get("cases", int, 100))
+    results = Options(args).build(run_scan_checks)
     for r in results:
         print(r.line())
     return 0 if all(r.ok for r in results) else 1
 
 
 def cmd_grad_check(args) -> int:
-    opt = Options(args)
-    results = run_grad_checks(seed=opt.get("seed", int, 0),
-                              include_model=not args.skip_model)
+    results = Options(args).build(run_grad_checks, include_model=not args.skip_model)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.ok]

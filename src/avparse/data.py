@@ -2,7 +2,8 @@
 
 File formats (all versioned, all deterministic given their inputs):
 
-* feature files -- ``"AVMF" | version u32 | T u32 | D u32 | T*D f32 LE``;
+* feature files -- ``"AVMF" | version u32 | T u32 | D u32 | T*D f32 LE``,
+  every value finite;
 * label CSV -- header ``video_id,modality,segment,labels`` with semicolon-
   joined category names, empty labels meaning a null (unannotated) row; the
   same schema carries pseudo-labels, ground truth, prediction dumps and
@@ -30,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError, ParseError, PatchError
+from .errors import (NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, ConfigError, ContractError,
+                     FormatError, ParseError, PatchError, ShapeError, check_fields)
 
 FEATURE_MAGIC = b"AVMF"
 FEATURE_VERSION = 1
@@ -42,6 +44,26 @@ EMPTY_TOKEN = "NONE"  # annotated as event-free, as opposed to unannotated
 
 
 # -- records -------------------------------------------------------------------
+
+
+def check_feature_matrix(values, name: str, n_segments: int | None = None) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be a 2-D [segments, dim] array, got shape {arr.shape}")
+    if n_segments is not None and arr.shape[0] != n_segments:
+        raise ShapeError(f"{name} must have {n_segments} segments, got {arr.shape[0]}")
+    if not np.all(np.isfinite(arr)):
+        raise ContractError(f"{name} contains non-finite values")
+    return arr
+
+
+def check_binary_matrix(values, name: str, shape=None) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if shape is not None and arr.shape != tuple(shape):
+        raise ShapeError(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
+    if not np.all((arr == 0.0) | (arr == 1.0)):
+        raise ContractError(f"{name} must be 0/1-valued")
+    return arr
 
 
 @dataclass
@@ -61,20 +83,36 @@ class VideoRecord:
     audio_donor: str | None = None
 
     def validate(self) -> None:
-        t = self.audio.shape[0]
-        if self.visual.shape[0] != t or self.pseudo_a.shape[0] != t or self.pseudo_v.shape[0] != t:
-            raise ContractError(f"{self.video_id}: segment counts disagree across fields")
-        for name, arr in (("video_label", self.video_label),
-                          ("pseudo_a", self.pseudo_a), ("pseudo_v", self.pseudo_v)):
-            if not np.all((arr == 0) | (arr == 1)):
-                raise ContractError(f"{self.video_id}: {name} must be 0/1-valued")
+        """Finite 2-D features and 0/1 labels that agree on T and C, with
+        all-zero null rows."""
+        t = check_feature_matrix(self.audio, f"{self.video_id}.audio").shape[0]
+        check_feature_matrix(self.visual, f"{self.video_id}.visual", t)
+        c = np.size(self.video_label)
+        check_binary_matrix(self.video_label, f"{self.video_id}.video_label", (c,))
         for null, pseudo, name in ((self.null_a, self.pseudo_a, "a"),
                                    (self.null_v, self.pseudo_v, "v")):
+            check_binary_matrix(pseudo, f"{self.video_id}.pseudo_{name}", (t, c))
             if np.any(pseudo[null] != 0):
                 raise ContractError(f"{self.video_id}: null {name}-rows must be all-zero")
 
     def has_nulls(self) -> bool:
         return bool(self.null_a.any() or self.null_v.any())
+
+
+def check_records(records) -> list[VideoRecord]:
+    """Validate each record and require every record's shapes to equal the first's."""
+    records = list(records)
+    if not records:
+        raise ContractError("records must not be empty")
+    first = records[0]
+    for r in records:
+        r.validate()
+        for field_name in ("audio", "visual", "video_label"):
+            got, want = getattr(r, field_name).shape, getattr(first, field_name).shape
+            if got != want:
+                raise ShapeError(f"{r.video_id}.{field_name} has shape {got}, "
+                                 f"but the first record's is {want}")
+    return records
 
 
 @dataclass
@@ -115,6 +153,8 @@ def read_feature_file(path) -> np.ndarray:
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob) - 16} bytes, expected {4 * t * d}")
     values = np.frombuffer(blob[16:], dtype="<f4").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: payload holds non-finite values")
     return values.reshape(t, d)
 
 
@@ -376,18 +416,12 @@ class SynthConfig:
     max_events: int = 3
 
     def __post_init__(self):
-        for name in ("n_videos", "n_segments", "n_classes", "d_audio", "d_visual", "max_events"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.n_val < 0 or self.noise < 0 or not 0 <= self.flip_rate <= 1 or not 0 <= self.correlation <= 1:
-            raise ConfigError("invalid synthetic-data options")
-        for override in (self.noise_audio, self.noise_visual):
-            if override is not None and override < 0:
-                raise ConfigError("per-modality noise must be >= 0")
-        if self.signal_audio < 0 or self.signal_visual < 0:
-            raise ConfigError("signal magnitudes must be >= 0")
-        if not 0 <= self.onset_ramp < 1:
-            raise ConfigError("onset_ramp must be in [0, 1)")
+        check_fields(self, POSITIVE, "n_videos", "n_segments", "n_classes", "d_audio",
+                     "d_visual", "max_events")
+        check_fields(self, NON_NEGATIVE, "seed", "n_val", "noise", "noise_audio",
+                     "noise_visual", "signal_audio", "signal_visual")
+        check_fields(self, UNIT_INTERVAL, "flip_rate", "correlation")
+        check_fields(self, (lambda v: 0 <= v < 1, "in [0, 1)"), "onset_ramp")
         if self.shared_directions and self.d_audio != self.d_visual:
             raise ConfigError("shared_directions requires d_audio == d_visual")
 

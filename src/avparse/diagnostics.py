@@ -12,6 +12,7 @@ import numpy as np
 
 from . import ssm
 from . import tensor as tt
+from .errors import ConfigError
 from .layers import LayerNorm, Linear
 from .model import AVMambaNet, ModelConfig, compute_loss
 from .tensor import Tensor
@@ -211,9 +212,15 @@ def tiny_model_config() -> ModelConfig:
                        d_audio_in=5, d_visual_in=7, text_dim=6)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}", field="seed")
+
+
 def run_grad_checks(seed: int = 0, include_model: bool = True) -> list[CheckResult]:
     """Finite-difference validation of every op (rtol 1e-4) and, optionally,
     the full tiny model end to end (rtol 1e-3, sampled entries per tensor)."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     results = []
     for name, fn, wrt in _op_cases(rng) + _scan_cases(rng):
@@ -250,6 +257,9 @@ def run_scan_checks(seed: int = 0, cases: int = 100) -> list[CheckResult]:
     Fused vs sequential over random shapes, exact backward/one-hot-dynamic
     identities, and the fused dynamic scan against the term-by-term mixture.
     """
+    _check_seed(seed)
+    if cases < 1:  # zero cases would report the oracle check as passed
+        raise ConfigError(f"cases must be >= 1, got {cases}", field="cases")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -8,16 +8,21 @@ and compose cleanly inside that ecosystem.
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
+from dataclasses import fields
 
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch
-from .data import default_classes
-from .errors import ConfigError, ShapeError
+from .data import check_records, default_classes
+from .errors import ConfigError, ContractError, ShapeError
 from .metrics import aggregate_report
 from .model import ModelConfig
-from .trainer import (ABLATABLE, TextCache, TrainConfig, forward_record,
+from .trainer import (TextCache, TrainConfig, ablated_configs, forward_record,
                       predict_records, save_model, train)
-from .validation import check_fitted, check_records
+
+
+def check_fitted(estimator, attribute: str) -> None:
+    if getattr(estimator, attribute, None) is None:
+        raise ContractError(
+            f"{type(estimator).__name__} is not fitted yet; call fit() first")
 
 
 class _ParamsMixin:
@@ -40,6 +45,11 @@ class _ParamsMixin:
             setattr(self, name, value)
         return self
 
+    def _store_arguments(self, arguments: dict) -> None:
+        """Keep each constructor argument under its own name, where
+        ``get_params`` reads it; ``arguments`` is the constructor's ``locals()``."""
+        self.set_params(**{name: arguments[name] for name in self._param_names()})
+
 
 class AVMambaParser(_ParamsMixin):
     """Weakly-supervised audio-visual parser with a fit/predict interface.
@@ -50,34 +60,28 @@ class AVMambaParser(_ParamsMixin):
     Type@AV against ground-truth matrices.
     """
 
-    def __init__(self, n_segments: int = 10, dim: int = 64, d_state: int = 16,
-                 expand: int = 2, d_conv: int = 4, text_dim: int = 64,
-                 lambda_audio: float = 1.0, lambda_visual: float = 1.0,
-                 epochs: int = 20, batch_size: int = 16, learning_rate: float = 3e-4,
-                 weight_decay: float = 0.01, cmrc_multiplier: float = 0.0,
-                 min_count: int = 50, theta_seg: float = 0.5, theta_vid: float = 0.5,
-                 ablate: str | None = None, seed: int = 0):
-        self.n_segments = n_segments
-        self.dim = dim
-        self.d_state = d_state
-        self.expand = expand
-        self.d_conv = d_conv
-        self.text_dim = text_dim
-        self.lambda_audio = lambda_audio
-        self.lambda_visual = lambda_visual
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.weight_decay = weight_decay
-        self.cmrc_multiplier = cmrc_multiplier
-        self.min_count = min_count
-        self.theta_seg = theta_seg
-        self.theta_vid = theta_vid
-        self.ablate = ablate
-        self.seed = seed
+    def __init__(self, n_segments: int = ModelConfig.n_segments, dim: int = ModelConfig.dim,
+                 d_state: int = ModelConfig.d_state, expand: int = ModelConfig.expand,
+                 d_conv: int = ModelConfig.d_conv, text_dim: int = ModelConfig.text_dim,
+                 lambda_audio: float = ModelConfig.lambda_audio,
+                 lambda_visual: float = ModelConfig.lambda_visual,
+                 epochs: int = TrainConfig.epochs, batch_size: int = TrainConfig.batch_size,
+                 learning_rate: float = TrainConfig.learning_rate,
+                 weight_decay: float = TrainConfig.weight_decay,
+                 cmrc_multiplier: float = TrainConfig.cmrc_multiplier,
+                 min_count: int = TrainConfig.min_count,
+                 theta_seg: float = TrainConfig.theta_seg,
+                 theta_vid: float = TrainConfig.theta_vid,
+                 ablate: str | None = None, seed: int = TrainConfig.seed):
+        self._store_arguments(locals())
         self.net_ = None
         self.classes_ = None
         self.log_ = None
+
+    def _config_params(self, config_cls) -> dict:
+        """The parameters that are fields of ``config_cls``, by field name."""
+        params = self.get_params()
+        return {f.name: params[f.name] for f in fields(config_cls) if f.name in params}
 
     def _configs(self, records, classes):
         observed = records[0].audio.shape[0]
@@ -85,28 +89,14 @@ class AVMambaParser(_ParamsMixin):
             raise ShapeError(
                 f"records have {observed} segments but the parser was built "
                 f"with n_segments={self.n_segments}")
-        model_config = ModelConfig(
-            n_segments=self.n_segments, dim=self.dim, n_classes=len(classes),
-            d_state=self.d_state, expand=self.expand, d_conv=self.d_conv,
-            d_audio_in=records[0].audio.shape[1],
-            d_visual_in=records[0].visual.shape[1],
-            text_dim=self.text_dim, lambda_audio=self.lambda_audio,
-            lambda_visual=self.lambda_visual)
-        train_config = TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, weight_decay=self.weight_decay,
-            seed=self.seed, cmrc_multiplier=self.cmrc_multiplier,
-            min_count=self.min_count, theta_seg=self.theta_seg,
-            theta_vid=self.theta_vid)
-        if self.ablate is not None:
-            key = self.ablate.lower()
-            if key not in ABLATABLE:
-                raise ConfigError(f"ablate must be one of {ABLATABLE}, got {self.ablate!r}")
-            if key == "cmrc":
-                train_config = replace(train_config, cmrc_multiplier=0.0)
-            else:
-                model_config = model_config.ablated(key)
-        return model_config, train_config
+        model_config = ModelConfig(**self._config_params(ModelConfig),
+                                   n_classes=len(classes),
+                                   d_audio_in=records[0].audio.shape[1],
+                                   d_visual_in=records[0].visual.shape[1])
+        train_config = TrainConfig(**self._config_params(TrainConfig))
+        if self.ablate is None:
+            return model_config, train_config
+        return ablated_configs(self.ablate, model_config, train_config)
 
     def fit(self, records, y=None, *, classes=None, val_records=None, val_gt=None):
         """Train on weakly labelled records; ``y`` is ignored (labels live in
@@ -174,12 +164,10 @@ class CmrcAugmenter(_ParamsMixin):
     donor records under that fitted distribution.
     """
 
-    def __init__(self, multiplier: float = 1.0, target_count: int | None = None,
-                 min_count: int = 50, seed: int = 0):
-        self.multiplier = multiplier
-        self.target_count = target_count
-        self.min_count = min_count
-        self.seed = seed
+    def __init__(self, multiplier: float = AugmentConfig.multiplier,
+                 target_count: int | None = AugmentConfig.target_count,
+                 min_count: int = AugmentConfig.min_count, seed: int = AugmentConfig.seed):
+        self._store_arguments(locals())
         self.distribution_ = None
 
     def fit(self, records, y=None):
@@ -190,9 +178,7 @@ class CmrcAugmenter(_ParamsMixin):
     def transform(self, records):
         check_fitted(self, "distribution_")
         records = check_records(records)
-        config = AugmentConfig(multiplier=self.multiplier, target_count=self.target_count,
-                               min_count=self.min_count, seed=self.seed)
-        return generate_cmrc_batch(records, self.distribution_, config)
+        return generate_cmrc_batch(records, self.distribution_, AugmentConfig(**self.get_params()))
 
     def fit_transform(self, records, y=None):
         return self.fit(records).transform(records)

@@ -12,12 +12,14 @@ for ablation studies.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, ContractError, ShapeError, VocabularyError
+from .data import check_binary_matrix
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, ShapeError, VocabularyError,
+                     check_fields)
 from .layers import MLP, LayerNorm, Linear, Module
 from .ssm import (MambaBlock, SharedMatrixHandle, SsmParams, default_dt_rank,
                   selective_scan, selective_scan_backward, selective_scan_dynamic)
@@ -50,28 +52,16 @@ class ModelConfig:
     use_plsim: bool = True
 
     def __post_init__(self):
-        for name in ("n_segments", "dim", "n_classes", "d_state", "expand",
-                     "d_conv", "d_audio_in", "d_visual_in", "text_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_fields(self, POSITIVE, "n_segments", "dim", "n_classes", "d_state", "expand",
+                     "d_conv", "d_audio_in", "d_visual_in", "text_dim")
+        check_fields(self, NON_NEGATIVE, "lambda_audio", "lambda_visual")
         if self.amf_mode not in AMF_MODES:
-            raise ConfigError(f"amf_mode must be one of {AMF_MODES}, got {self.amf_mode!r}")
+            raise ConfigError(f"ModelConfig.amf_mode must be one of {AMF_MODES}, "
+                              f"got {self.amf_mode!r}", field="amf_mode")
 
     @staticmethod
     def paper_scale() -> "ModelConfig":
         return ModelConfig(dim=512, text_dim=512, d_audio_in=128, d_visual_in=512)
-
-    def ablated(self, component: str) -> "ModelConfig":
-        key = component.lower()
-        if key == "tsa":
-            return replace(self, use_tsa=False)
-        if key == "amf":
-            return replace(self, amf_mode="private")
-        if key == "mfe":
-            return replace(self, use_mfe=False)
-        if key == "plsim":
-            return replace(self, use_plsim=False)
-        raise ConfigError(f"unknown model component {component!r}")
 
 
 @dataclass
@@ -428,13 +418,6 @@ class AVMambaNet(Module):
 BCE_EPS = 1e-7
 
 
-def _check_binary(label: np.ndarray, what: str) -> np.ndarray:
-    label = np.asarray(label, dtype=np.float64)
-    if not np.all((label == 0.0) | (label == 1.0)):
-        raise ContractError(f"{what} must be 0/1-valued")
-    return label
-
-
 def _bce_mean(prob: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor | None:
     """Mean binary cross-entropy; ``mask`` marks segment rows that count."""
     if mask is not None:
@@ -460,7 +443,7 @@ def compute_loss(outputs: ModelOutputs, video_label: np.ndarray,
     Segments flagged unannotated (``null_*`` true) are excluded from the
     corresponding pseudo term.
     """
-    video_label = _check_binary(video_label, "video label")
+    video_label = check_binary_matrix(video_label, "video label")
     loss = _bce_mean(tt.reshape(outputs.video_prob, (1, video_label.size)),
                      video_label.reshape(1, -1))
     for prob, pseudo, null, weight in (
@@ -469,7 +452,7 @@ def compute_loss(outputs: ModelOutputs, video_label: np.ndarray,
     ):
         if pseudo is None or weight == 0.0:
             continue
-        pseudo = _check_binary(pseudo, "pseudo label")
+        pseudo = check_binary_matrix(pseudo, "pseudo label")
         mask = np.ones(pseudo.shape[0]) if null is None else 1.0 - np.asarray(null, dtype=np.float64)
         term = _bce_mean(prob, pseudo, mask)
         if term is not None:

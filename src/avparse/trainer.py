@@ -12,14 +12,14 @@ import numpy as np
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import LoadedSplit, VideoRecord, load_split
-from .errors import CheckpointError, ConfigError, EvaluationError, TrainingError
+from .errors import (NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, CheckpointError, ConfigError,
+                     EvaluationError, TrainingError, check_fields)
 from .metrics import MetricReport, SegmentPrediction, aggregate_report, binarize
 from .model import (AMF_MODES, AVMambaNet, ModelConfig, compute_loss,
                     embed_pseudo_matrix)
 from .tensor import AdamW
 
 META_PREFIX = "meta."
-ABLATABLE = ("cmrc", "tsa", "amf", "mfe", "plsim")
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,30 @@ class TrainConfig:
     stop_at_type_av: float | None = None  # early exit once validation reaches this
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ConfigError("epochs, batch size and learning rate must be positive")
-        if self.cmrc_multiplier < 0:
-            raise ConfigError("cmrc_multiplier must be >= 0")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
+        check_fields(self, POSITIVE, "epochs", "batch_size", "learning_rate", "eval_every")
+        check_fields(self, NON_NEGATIVE, "weight_decay", "seed", "cmrc_multiplier", "min_count")
+        # binarize's range: both thresholds are strict comparisons
+        check_fields(self, (lambda v: 0 < v < 1, "in (0, 1)"), "theta_seg", "theta_vid")
+        check_fields(self, UNIT_INTERVAL, "stop_at_type_av")
+
+
+# component -> (ModelConfig changes, TrainConfig changes) of its ablated variant
+ABLATIONS = {
+    "cmrc": ({}, {"cmrc_multiplier": 0.0}),
+    "tsa": ({"use_tsa": False}, {}),
+    "amf": ({"amf_mode": "private"}, {}),  # private per-modality scans, no mixed feature
+    "mfe": ({"use_mfe": False}, {}),
+    "plsim": ({"use_plsim": False}, {}),
+}
+
+
+def ablated_configs(component: str, model_config: ModelConfig,
+                    config: TrainConfig) -> tuple[ModelConfig, TrainConfig]:
+    """The configs of the variant with ``component`` (any case) disabled."""
+    changes = ABLATIONS.get(component.lower())
+    if changes is None:
+        raise ConfigError(f"unknown component {component!r}; choose from {tuple(ABLATIONS)}")
+    return replace(model_config, **changes[0]), replace(config, **changes[1])
 
 
 @dataclass
@@ -193,7 +211,8 @@ def _first_nonfinite(outputs) -> str:
 
 
 def predict_records(net: AVMambaNet, records, texts: TextCache | None,
-                    theta_seg: float = 0.5, theta_vid: float = 0.5) -> dict[str, SegmentPrediction]:
+                    theta_seg: float = TrainConfig.theta_seg,
+                    theta_vid: float = TrainConfig.theta_vid) -> dict[str, SegmentPrediction]:
     preds = {}
     for record in records:
         outputs = forward_record(net, record, texts)
@@ -202,7 +221,8 @@ def predict_records(net: AVMambaNet, records, texts: TextCache | None,
 
 
 def evaluate_records(net: AVMambaNet, records, gt: dict, classes,
-                     theta_seg: float = 0.5, theta_vid: float = 0.5) -> MetricReport:
+                     theta_seg: float = TrainConfig.theta_seg,
+                     theta_vid: float = TrainConfig.theta_vid) -> MetricReport:
     if gt is None:
         raise EvaluationError("split has no ground truth to evaluate against")
     texts = TextCache(classes, net.config.text_dim) if net.config.use_plsim else None
@@ -331,7 +351,8 @@ def _config_for_split(split: LoadedSplit, model_config: ModelConfig | None) -> M
 
 
 def evaluate_checkpoint(checkpoint_path, data_dir, split: str = "val",
-                        theta_seg: float = 0.5, theta_vid: float = 0.5):
+                        theta_seg: float = TrainConfig.theta_seg,
+                        theta_vid: float = TrainConfig.theta_vid):
     """Load a checkpoint, score one split, and return (report, predictions)."""
     net = load_model(checkpoint_path)
     loaded = load_split(data_dir, split)
@@ -345,20 +366,9 @@ def evaluate_checkpoint(checkpoint_path, data_dir, split: str = "val",
 
 def ablate(component: str, model_config: ModelConfig, train_records, classes,
            val_records, val_gt, config: TrainConfig) -> tuple[AVMambaNet, MetricReport]:
-    """Train and evaluate a variant with one component disabled.
-
-    cmrc -> multiplier 0; tsa/mfe/plsim -> structurally removed; amf ->
-    private per-modality scans with no sharing and no mixed feature.
-    """
-    key = component.lower()
-    if key not in ABLATABLE:
-        raise ConfigError(f"unknown component {component!r}; choose from {ABLATABLE}")
-    if key == "cmrc":
-        train_cfg = replace(config, cmrc_multiplier=0.0)
-        net_cfg = model_config
-    else:
-        train_cfg = config
-        net_cfg = model_config.ablated(key)
+    """Train and evaluate the variant of ``ablated_configs`` with one component
+    disabled."""
+    net_cfg, train_cfg = ablated_configs(component, model_config, config)
     net, _ = train(net_cfg, train_records, classes, val_records, val_gt, train_cfg)
     report = evaluate_records(net, val_records, val_gt, classes,
                               config.theta_seg, config.theta_vid)

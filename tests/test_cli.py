@@ -2,11 +2,13 @@
 
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from avparse.cli import main, parse_config_file
+from avparse.data import parse_manifest
 from avparse.errors import AvparseError
 from avparse.trainer import TrainConfig, train_on_dir
 
@@ -124,6 +126,22 @@ class TestTrainEvalMetrics:
                      "--data", str(dataset_dir)])
         assert code == 1
 
+    def test_nonfinite_feature_value_exit_one(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                     "--batch-size", "4", "--dim", "12"]) == 0
+        audio_rel = parse_manifest(data / "manifest_val.txt").records[0][1]
+        feature = data / audio_rel
+        raw = bytearray(feature.read_bytes())
+        raw[16:20] = struct.pack("<f", float("nan"))  # first payload value
+        feature.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.mugc"),
+                     "--data", str(data)]) == 1
+        assert os.path.basename(audio_rel) in capsys.readouterr().err
+
 
 class TestMetricsStandalone:
     def test_fixture_report(self, tmp_path, capsys):
@@ -150,6 +168,24 @@ class TestMetricsStandalone:
     def test_missing_file_exit_one(self, tmp_path):
         assert main(["metrics", "--pred", str(tmp_path / "no.csv"),
                      "--gt", str(tmp_path / "no.csv")]) == 1
+
+    @pytest.mark.parametrize("config_text", [
+        None,  # the config file does not exist
+        "this is not a key value line\n",
+        "seed = 3\n",  # metrics reads no config key
+    ], ids=["missing", "malformed", "unknown-key"])
+    def test_config_is_read(self, tmp_path, capsys, config_text):
+        from avparse.data import write_label_csv
+
+        labels = {"vid": {"a": np.eye(2), "v": np.zeros((2, 2))}}
+        for name in ("pred.csv", "gt.csv"):
+            write_label_csv(tmp_path / name, labels, ["Dog", "Speech"], 2)
+        config = tmp_path / "metrics.cfg"
+        if config_text is not None:
+            config.write_text(config_text)
+        assert main(["metrics", "--pred", str(tmp_path / "pred.csv"),
+                     "--gt", str(tmp_path / "gt.csv"), "--config", str(config)]) == 1
+        assert "metrics.cfg" in capsys.readouterr().err
 
 
 class TestChecks:
@@ -183,6 +219,12 @@ class TestArgumentHandling:
         (["train", "--data", "no_data"], "epochs = x"),
         (["synth"], "seed = 1.5"),
         (["synth"], "shared-directions = ture"),  # not silently read as false
+        (["synth"], "epoch = 3"),  # keys no flag of the command reads
+        (["synth"], "vidoes = 2"),
+        (["synth"], "seed = -1"),
+        (["augment", "--data", "no_data"], "seed = -1"),
+        (["train", "--data", "no_data"], "seed = -1"),
+        (["train", "--data", "no_data"], "weight-decay = -5"),
     ])
     def test_malformed_config_value_exit_one(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -190,6 +232,22 @@ class TestArgumentHandling:
         assert main([*command, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "bad.cfg" in err and repr(line.split()[0]) in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--out", "{tmp}/o", "--seed", "-1"], "--seed"),
+        (["augment", "--data", "{data}", "--out", "{tmp}/o", "--seed", "-1"], "--seed"),
+        (["train", "--data", "{data}", "--out", "{tmp}/o", "--seed", "-1"], "--seed"),
+        (["train", "--data", "{data}", "--out", "{tmp}/o", "--epochs", "1", "--dim", "12",
+          "--weight-decay", "-5"], "--weight-decay"),
+        (["scan-check", "--seed", "-1"], "--seed"),
+        (["scan-check", "--cases", "-3"], "--cases"),  # no case would be checked
+        (["scan-check", "--cases", "0"], "--cases"),
+        (["grad-check", "--skip-model", "--seed", "-1"], "--seed"),
+    ])
+    def test_out_of_range_flag_exit_one(self, dataset_dir, tmp_path, capsys, argv, flag):
+        argv = [arg.format(tmp=tmp_path, data=dataset_dir) for arg in argv]
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["version", "segments"])
     def test_malformed_manifest_number_exit_one(self, tmp_path, capsys, key):

@@ -7,7 +7,7 @@ from avparse.data import SynthConfig, make_synthetic
 from avparse.errors import ConfigError, ContractError, ShapeError
 from avparse.estimator import AVMambaParser, CmrcAugmenter
 from avparse.metrics import SegmentPrediction, aggregate_report
-from avparse.validation import check_binary_matrix, check_feature_matrix, check_records
+from avparse.data import check_binary_matrix, check_feature_matrix, check_records
 
 
 @pytest.fixture(scope="module")
