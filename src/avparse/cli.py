@@ -39,7 +39,8 @@ def _flags(target, **names) -> dict:
 
 _TRAIN_FLAGS = {
     **_flags(TrainConfig, epochs="epochs", batch_size="batch_size", lr="learning_rate",
-             weight_decay="weight_decay", multiplier="cmrc_multiplier", seed="seed"),
+             weight_decay="weight_decay", multiplier="cmrc_multiplier",
+             min_count="min_count", seed="seed"),
     **_flags(ModelConfig, dim="dim"),
 }
 

@@ -52,29 +52,30 @@ def fd_check(fn, wrt, rtol: float, h: float = 1e-5, atol: float = 1e-6,
     tt.reset_grads(tt.graph_tensors(out))  # leave no grads behind on shared leaves
     max_rel = 0.0
     ok = True
-    for t, grad in zip(wrt, grads):
-        flat_n = t.data.size
-        if sample is not None and flat_n > sample:
-            assert rng is not None
-            indices = rng.choice(flat_n, size=sample, replace=False)
-        else:
-            indices = range(flat_n)
-        flat = t.data.reshape(-1)
-        for i in indices:
-            i = int(i)
-            saved = flat[i]
-            flat[i] = saved + h
-            f_plus = fn().item()
-            flat[i] = saved - h
-            f_minus = fn().item()
-            flat[i] = saved
-            fd = (f_plus - f_minus) / (2.0 * h)
-            ad = grad.reshape(-1)[i]
-            denom = max(abs(ad), abs(fd))
-            diff = abs(ad - fd)
-            max_rel = max(max_rel, diff / max(denom, atol))
-            if diff > rtol * denom + atol:
-                ok = False
+    with tt.no_grad():  # the probes need values only
+        for t, grad in zip(wrt, grads):
+            flat_n = t.data.size
+            if sample is not None and flat_n > sample:
+                assert rng is not None
+                indices = rng.choice(flat_n, size=sample, replace=False)
+            else:
+                indices = range(flat_n)
+            flat = t.data.reshape(-1)
+            for i in indices:
+                i = int(i)
+                saved = flat[i]
+                flat[i] = saved + h
+                f_plus = fn().item()
+                flat[i] = saved - h
+                f_minus = fn().item()
+                flat[i] = saved
+                fd = (f_plus - f_minus) / (2.0 * h)
+                ad = grad.reshape(-1)[i]
+                denom = max(abs(ad), abs(fd))
+                diff = abs(ad - fd)
+                max_rel = max(max_rel, diff / max(denom, atol))
+                if diff > rtol * denom + atol:
+                    ok = False
     return max_rel, ok
 
 

@@ -15,6 +15,7 @@ from .data import check_records, default_classes
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import aggregate_report
 from .model import ModelConfig
+from .tensor import no_grad
 from .trainer import (TextCache, TrainConfig, ablated_configs, forward_record,
                       predict_records, save_model, train)
 
@@ -129,13 +130,14 @@ class AVMambaParser(_ParamsMixin):
         records = check_records(records)
         texts = self._texts()
         out = []
-        for record in records:
-            outputs = forward_record(self.net_, record, texts)
-            out.append({
-                "seg_prob_a": outputs.seg_prob_a.data.copy(),
-                "seg_prob_v": outputs.seg_prob_v.data.copy(),
-                "video_prob": outputs.video_prob.data.copy(),
-            })
+        with no_grad():
+            for record in records:
+                outputs = forward_record(self.net_, record, texts)
+                out.append({
+                    "seg_prob_a": outputs.seg_prob_a.data.copy(),
+                    "seg_prob_v": outputs.seg_prob_v.data.copy(),
+                    "video_prob": outputs.video_prob.data.copy(),
+                })
         return out
 
     def score(self, records, gt) -> float:

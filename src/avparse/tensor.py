@@ -8,9 +8,20 @@ that tests rely on:
   reaches an already-populated gradient raises ``ContractError``;
 * max-pooling routes its gradient to the lowest flat index on ties;
 * broadcasting follows numpy's trailing-dimension rules only.
+
+The closure contract: each op's backward closure is ``backward(g)``, called
+as ``node._backward(node.grad)`` with the gradient of the op's output. A
+closure captures the op's inputs and whatever arrays it needs, never the
+output tensor itself, so a graph holds no reference cycle and is freed by
+reference counting as soon as its root is dropped.
+
+Inside ``with no_grad():`` ops record no graph: their outputs have
+``requires_grad=False``, no parents and no closure. Evaluation runs under it.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,7 +42,8 @@ class Tensor:
     until a backward pass reaches this tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
@@ -83,18 +95,11 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {self.shape}")
-        topo = graph_tensors(self)
-        for node in topo:
-            if node.requires_grad and node.grad is not None:
-                label = node.name or f"tensor{list(node.shape)}"
-                raise ContractError(
-                    f"gradient already populated on {label}; reset grads before "
-                    "calling backward again (accumulation across passes is forbidden)"
-                )
+        topo = graph_tensors(self, fresh=True)
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
         if params is not None:
             for p in params:
                 if p.requires_grad and p.grad is None:
@@ -165,12 +170,43 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no graph; the previous mode is restored
+    on exit, also when the block raises."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    """An op's output node; ``backward(g)`` follows the closure contract."""
+    out = Tensor.__new__(Tensor)
+    # op outputs are nearly always C-contiguous float64 arrays already; a
+    # 0-d array still goes through _as_array, which makes it shape (1,)
+    if not (type(data) is np.ndarray and data.dtype == np.float64 and data.ndim
+            and data.flags.c_contiguous):
+        data = _as_array(data)
+    out.data = data
+    out.grad = None
+    out.name = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
     return out
 
 
@@ -202,59 +238,44 @@ def seeded_gaussian(seed: int, shape, requires_grad: bool = False, name: str | N
 # -- binary elementwise ops ---------------------------------------------------
 
 
-def _check_broadcast(a: Tensor, b: Tensor) -> None:
+def _broadcast(ufunc, a: Tensor, b: Tensor) -> Array:
+    """``ufunc(a.data, b.data)``, with numpy's broadcast error as a ShapeError."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data + b.data
+    def backward(g):
+        a._accumulate(g)
+        b._accumulate(g)
 
-    def backward():
-        a._accumulate(out.grad)
-        b._accumulate(out.grad)
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(_broadcast(np.add, a, b), (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data - b.data
+    def backward(g):
+        a._accumulate(g)
+        b._accumulate(-g)
 
-    def backward():
-        a._accumulate(out.grad)
-        b._accumulate(-out.grad)
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(_broadcast(np.subtract, a, b), (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data * b.data
+    def backward(g):
+        a._accumulate(g * b.data)
+        b._accumulate(g * a.data)
 
-    def backward():
-        a._accumulate(out.grad * b.data)
-        b._accumulate(out.grad * a.data)
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(_broadcast(np.multiply, a, b), (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data / b.data
+    def backward(g):
+        a._accumulate(g / b.data)
+        b._accumulate(-g * a.data / (b.data * b.data))
 
-    def backward():
-        a._accumulate(out.grad / b.data)
-        b._accumulate(-out.grad * a.data / (b.data * b.data))
-
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(_broadcast(np.divide, a, b), (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -262,25 +283,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
 
-    def backward():
-        a._accumulate(out.grad @ b.data.T)
-        b._accumulate(a.data.T @ out.grad)
+    def backward(g):
+        a._accumulate(g @ b.data.T)
+        b._accumulate(a.data.T @ g)
 
-    out = _make(out_data, (a, b), backward)
-    return out
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 # -- unary elementwise ops ----------------------------------------------------
 
 
 def _unary(a: Tensor, out_data: Array, grad_fn) -> Tensor:
-    def backward():
-        a._accumulate(out.grad * grad_fn())
+    def backward(g):
+        a._accumulate(g * grad_fn())
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 def _expit(x: Array) -> Array:
@@ -333,16 +351,13 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def pool(a: Tensor, axis: int, kind: str) -> Tensor:
@@ -358,22 +373,21 @@ def pool(a: Tensor, axis: int, kind: str) -> Tensor:
         n = a.data.shape[axis]
         out_data = a.data.mean(axis=axis, keepdims=True)
 
-        def backward():
-            a._accumulate(np.broadcast_to(out.grad / n, a.data.shape))
+        def backward(g):
+            a._accumulate(np.broadcast_to(g / n, a.data.shape))
 
     elif kind == "max":
         out_data = a.data.max(axis=axis, keepdims=True)
         argmax = a.data.argmax(axis=axis)  # first occurrence wins ties
 
-        def backward():
-            g = np.zeros_like(a.data)
-            np.put_along_axis(g, np.expand_dims(argmax, axis), out.grad, axis)
-            a._accumulate(g)
+        def backward(g):
+            routed = np.zeros_like(a.data)
+            np.put_along_axis(routed, np.expand_dims(argmax, axis), g, axis)
+            a._accumulate(routed)
 
     else:
         raise ConfigError(f"unknown pool kind {kind!r}")
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(out_data, (a,), backward)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -392,62 +406,53 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     extents = [t.data.shape[axis] for t in tensors]
 
-    def backward():
+    def backward(g):
         offset = 0
         for t, n in zip(tensors, extents):
-            idx = [slice(None)] * out.grad.ndim
+            idx = [slice(None)] * g.ndim
             idx[axis] = slice(offset, offset + n)
-            t._accumulate(out.grad[tuple(idx)])
+            t._accumulate(g[tuple(idx)])
             offset += n
 
-    out = _make(out_data, tuple(tensors), backward)
-    return out
+    return _make(out_data, tuple(tensors), backward)
 
 
 def reverse(a: Tensor, axis: int = 0) -> Tensor:
-    out_data = np.flip(a.data, axis=axis).copy()
 
-    def backward():
-        a._accumulate(np.flip(out.grad, axis=axis))
+    def backward(g):
+        a._accumulate(np.flip(g, axis=axis))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.flip(a.data, axis=axis).copy(), (a,), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-    out_data = np.ascontiguousarray(a.data.T)
 
-    def backward():
-        a._accumulate(out.grad.T)
+    def backward(g):
+        a._accumulate(g.T)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.ascontiguousarray(a.data.T), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(d) for d in shape)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {list(shape)}")
-    out_data = a.data.reshape(shape)
 
-    def backward():
-        a._accumulate(out.grad.reshape(a.data.shape))
+    def backward(g):
+        a._accumulate(g.reshape(a.data.shape))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def rotate(a: Tensor, axis: int = 0, offset: int = 0) -> Tensor:
     """Cyclic left rotation: element ``i`` of the output is input ``i+offset``."""
-    out_data = np.roll(a.data, -offset, axis=axis)
 
-    def backward():
-        a._accumulate(np.roll(out.grad, offset, axis=axis))
+    def backward(g):
+        a._accumulate(np.roll(g, offset, axis=axis))
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(np.roll(a.data, -offset, axis=axis), (a,), backward)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -457,15 +462,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    out_data = a.data[idx].copy()
 
-    def backward():
-        g = np.zeros_like(a.data)
-        g[idx] = out.grad
-        a._accumulate(g)
+    def backward(g):
+        full_g = np.zeros_like(a.data)
+        full_g[idx] = g
+        a._accumulate(full_g)
 
-    out = _make(out_data, (a,), backward)
-    return out
+    return _make(a.data[idx].copy(), (a,), backward)
 
 
 # -- depthwise causal convolution ----------------------------------------------
@@ -493,21 +496,20 @@ def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> 
     if bias is not None:
         out_data = out_data + bias.data
 
-    def backward():
+    def backward(g):
         gpad = np.zeros_like(padded)
         for j in range(k):
-            gpad[j : j + t_len] += weights.data[j] * out.grad
+            gpad[j : j + t_len] += weights.data[j] * g
         x._accumulate(gpad[k - 1 :])
         gw = np.empty_like(weights.data)
         for j in range(k):
-            gw[j] = (padded[j : j + t_len] * out.grad).sum(axis=0)
+            gw[j] = (padded[j : j + t_len] * g).sum(axis=0)
         weights._accumulate(gw)
         if bias is not None:
-            bias._accumulate(out.grad.sum(axis=0))
+            bias._accumulate(g.sum(axis=0))
 
     parents = (x, weights) if bias is None else (x, weights, bias)
-    out = _make(out_data, parents, backward)
-    return out
+    return _make(out_data, parents, backward)
 
 
 # -- helpers used across the model ---------------------------------------------
@@ -525,23 +527,33 @@ def reset_grads(tensors) -> None:
         t.reset_grad()
 
 
-def graph_tensors(root: Tensor) -> list[Tensor]:
+def graph_tensors(root: Tensor, fresh: bool = False) -> list[Tensor]:
     """All tensors reachable from ``root`` through the parent links, in
-    post-order: every tensor comes after its parents and ``root`` comes last."""
+    post-order: every tensor comes after its parents and ``root`` comes last.
+
+    With ``fresh``, a reached tensor that already holds a gradient raises
+    ``ContractError`` (``backward`` checks this before writing any gradient).
+    """
     topo: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()  # Tensor hashes by identity
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        if fresh and node.grad is not None and node.requires_grad:
+            label = node.name or f"tensor{list(node.shape)}"
+            raise ContractError(
+                f"gradient already populated on {label}; reset grads before "
+                "calling backward again (accumulation across passes is forbidden)"
+            )
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return topo
 

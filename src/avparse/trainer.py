@@ -17,7 +17,7 @@ from .errors import (NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, CheckpointError, Con
 from .metrics import MetricReport, SegmentPrediction, aggregate_report, binarize
 from .model import (AMF_MODES, AVMambaNet, ModelConfig, compute_loss,
                     embed_pseudo_matrix)
-from .tensor import AdamW
+from .tensor import AdamW, no_grad
 
 META_PREFIX = "meta."
 
@@ -144,26 +144,52 @@ def save_model(path, net: AVMambaNet) -> None:
     save_checkpoint(path, entries)
 
 
+def pinned_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Parameters whose shapes pin every width of ``config``.
+
+    No parameter of the model is more than twice the size of one of these, so
+    a checkpoint whose stored entries have these shapes cannot make
+    :func:`load_model` allocate much more than the file holds.
+    """
+    d, inner = config.dim, config.expand * config.dim
+    pins = {"proj_a.w": (config.d_audio_in, d), "proj_v.w": (config.d_visual_in, d),
+            "han.self_a.wq.w": (d, d), "mmil.classifier.w": (d, config.n_classes)}
+    if config.use_plsim:
+        pins["plsim.a_scale.fc1.w"] = (config.text_dim, d)
+    # the first scan block pins expand, d_conv and d_state; with none, they size nothing
+    if config.use_tsa:
+        block, scan = "tsa_a.channel_block", "ssm"
+    elif config.amf_mode != "off":
+        block, scan = "amf.a", "ssm_fwd" if config.amf_mode == "full" else "ssm"
+    else:
+        return pins
+    pins[f"{block}.w_in_x"] = (d, inner)
+    pins[f"{block}.conv_w"] = (config.d_conv, inner)
+    pins[f"{block}.{scan}.a_log"] = (inner, config.d_state)
+    return pins
+
+
+def _check_entry(stored: dict, name: str, shape: tuple[int, ...], source: str) -> None:
+    if name not in stored:
+        raise CheckpointError(f"checkpoint missing parameter {name!r}")
+    if stored[name].shape != shape:
+        raise CheckpointError(f"shape mismatch for {name!r}: checkpoint {stored[name].shape}, "
+                              f"{source} {shape}")
+
+
 def load_model(path) -> AVMambaNet:
     stored = load_checkpoint(path)
     config = _config_from_meta(stored)
-    try:
-        net = AVMambaNet(config, seed=0)
-    except (ValueError, MemoryError) as exc:  # e.g. meta.dim = 2**62: "array is too big"
-        raise CheckpointError(f"{path}: metadata describes a model that cannot be built: "
-                              f"{exc}") from exc
+    for name, shape in pinned_shapes(config).items():  # before anything is allocated
+        _check_entry(stored, name, shape, "metadata")
+    net = AVMambaNet(config, seed=0)
     params = net.parameters()
     meta_names = {META_PREFIX + f.name for f in fields(ModelConfig)}
     unknown = [name for name in stored if name not in params and name not in meta_names]
     if unknown:
         raise CheckpointError(f"checkpoint has unknown entries {unknown[:5]}")
     for name in params:
-        if name not in stored:
-            raise CheckpointError(f"checkpoint missing parameter {name!r}")
-        if stored[name].shape != params[name].data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {stored[name].shape}, "
-                f"model {params[name].data.shape}")
+        _check_entry(stored, name, params[name].data.shape, "model")
         params[name].data[...] = stored[name]
     return net
 
@@ -214,9 +240,10 @@ def predict_records(net: AVMambaNet, records, texts: TextCache | None,
                     theta_seg: float = TrainConfig.theta_seg,
                     theta_vid: float = TrainConfig.theta_vid) -> dict[str, SegmentPrediction]:
     preds = {}
-    for record in records:
-        outputs = forward_record(net, record, texts)
-        preds[record.video_id] = binarize(outputs, theta_seg, theta_vid, record.video_id)
+    with no_grad():
+        for record in records:
+            outputs = forward_record(net, record, texts)
+            preds[record.video_id] = binarize(outputs, theta_seg, theta_vid, record.video_id)
     return preds
 
 

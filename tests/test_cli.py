@@ -3,11 +3,14 @@
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from avparse.cli import main, parse_config_file
+import avparse
+from avparse.cli import _train_configs, build_parser, main, parse_config_file
 from avparse.data import parse_manifest
 from avparse.errors import AvparseError
 from avparse.trainer import TrainConfig, train_on_dir
@@ -209,6 +212,19 @@ class TestArgumentHandling:
 
     def test_help_exit_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avparse.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "avparse", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: avparse" in done.stdout
+
+    def test_train_min_count_flag(self):
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "o",
+                                          "--min-count", "10"])
+        assert _train_configs(args)[1].min_count == 10
 
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from avparse import estimator as estimator_module
 from avparse.data import SynthConfig, make_synthetic
 from avparse.errors import ConfigError, ContractError, ShapeError
 from avparse.estimator import AVMambaParser, CmrcAugmenter
 from avparse.metrics import SegmentPrediction, aggregate_report
+from avparse.trainer import TextCache, forward_record
 from avparse.data import check_binary_matrix, check_feature_matrix, check_records
 
 
@@ -64,6 +66,25 @@ class TestParserFitPredict:
         assert probs[0]["seg_prob_a"].shape == (6, 5)
         assert probs[0]["video_prob"].shape == (5,)
         assert np.all(probs[0]["video_prob"] > 0) and np.all(probs[0]["video_prob"] < 1)
+
+    def test_predict_proba_matches_graph_building_forward(self, tiny_dataset, monkeypatch):
+        est = tiny_parser().fit(tiny_dataset.train, classes=tiny_dataset.classes)
+        seen = []
+
+        def spy(*args):
+            seen.append(forward_record(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(estimator_module, "forward_record", spy)
+        probs = est.predict_proba(tiny_dataset.val)
+        assert len(seen) == len(tiny_dataset.val)
+        assert not any(outputs.video_prob.requires_grad for outputs in seen)
+        texts = TextCache(tiny_dataset.classes, est.net_.config.text_dim)
+        for record, quiet in zip(tiny_dataset.val, probs):
+            outputs = forward_record(est.net_, record, texts)
+            assert outputs.video_prob.requires_grad
+            for key in ("seg_prob_a", "seg_prob_v", "video_prob"):
+                assert np.array_equal(quiet[key], getattr(outputs, key).data)
 
     def test_score_matches_report(self, tiny_dataset):
         est = tiny_parser().fit(tiny_dataset.train, classes=tiny_dataset.classes)

@@ -1,14 +1,19 @@
 """Tensor core: constructors, ops, autodiff contracts, AdamW."""
 
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from avparse import tensor as tt
+from avparse.data import SynthConfig, make_synthetic
 from avparse.errors import ConfigError, ContractError, ShapeError
+from avparse.model import AVMambaNet, ModelConfig, compute_loss
 from avparse.tensor import AdamW, Tensor
+from avparse.trainer import TextCache, forward_record
 
 
 def fd_scalar(fn, tensor, index, h=1e-5):
@@ -257,6 +262,63 @@ class TestBackward:
         for index in range(w.size):
             fd = fd_scalar(loss, w, index)
             assert w.grad.reshape(-1)[index] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+class TestGraphLifetime:
+    def test_training_graph_leaves_no_cycle(self):
+        # desk-scale model: every op and both fused scan nodes are in the graph
+        config = ModelConfig()
+        ds = make_synthetic(SynthConfig(seed=3, n_videos=1, n_val=0))
+        net = AVMambaNet(config, seed=0)
+        texts = TextCache(ds.classes, config.text_dim)
+        record = ds.train[0]
+        gc.collect()
+        gc.disable()
+        try:
+            outputs = forward_record(net, record, texts)
+            loss = compute_loss(outputs, record.video_label, record.pseudo_a,
+                                record.pseudo_v, record.null_a, record.null_v)
+            loss.backward(params=net.parameters().values())
+            loss_ref = weakref.ref(loss)
+            stage_ref = weakref.ref(outputs.stages["amf_mix"])
+            del loss, outputs
+            # reference counting alone frees the graph
+            assert loss_ref() is None
+            assert stage_ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with tt.no_grad():
+            outs = [tt.sigmoid(tt.matmul(w, w) + w), tt.pool(w, axis=0, kind="max"),
+                    tt.narrow(w, 0, 1, 1), w * 2.0]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+        assert (w * w).requires_grad
+
+    def test_same_values_as_graph_building(self):
+        w = tt.seeded_gaussian(4, [3, 3], requires_grad=True)
+        with tt.no_grad():
+            quiet = tt.softmax(tt.silu(tt.matmul(w, w)), axis=1)
+        assert np.array_equal(quiet.data, tt.softmax(tt.silu(tt.matmul(w, w)), axis=1).data)
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with tt.no_grad():
+            with tt.no_grad():
+                assert not (w * w).requires_grad
+            assert not (w * w).requires_grad
+        assert (w * w).requires_grad
+        with pytest.raises(ShapeError):
+            with tt.no_grad():
+                w + Tensor(np.ones(4))
+        assert (w * w).requires_grad
 
 
 class TestAdamW:

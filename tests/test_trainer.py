@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from avparse import trainer as trainer_module
 from avparse.checkpoint import load_checkpoint, save_checkpoint
 from avparse.cli import main as cli_main
 from avparse.data import SynthConfig, generate_synthetic_dataset, make_synthetic
@@ -10,7 +11,8 @@ from avparse.errors import CheckpointError, ConfigError, TrainingError
 from avparse.model import AVMambaNet, ModelConfig, compute_loss
 from avparse.trainer import (TextCache, TrainConfig, ablate, augmented_records,
                              evaluate_checkpoint, evaluate_records, forward_record,
-                             load_model, save_model, train, train_on_dir)
+                             load_model, pinned_shapes, predict_records, save_model, train,
+                             train_on_dir)
 
 TINY_MODEL = dict(n_segments=6, dim=12, n_classes=5, d_state=4,
                   d_audio_in=8, d_visual_in=8, text_dim=8)
@@ -182,6 +184,35 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             load_model(path)
 
+    @pytest.mark.parametrize("changes", [
+        {}, {"use_tsa": False}, {"use_tsa": False, "amf_mode": "private"},
+        {"use_tsa": False, "amf_mode": "off", "use_plsim": False},
+    ])
+    def test_pinned_shapes_bound_every_parameter(self, changes):
+        config = ModelConfig(**{**TINY_MODEL, **changes})
+        params = AVMambaNet(config, seed=0).parameters()
+        pins = pinned_shapes(config)
+        for name, shape in pins.items():
+            assert params[name].shape == shape
+        largest = max(np.prod(shape) for shape in pins.values())
+        assert all(p.size <= 2 * largest for p in params.values())
+
+    def test_oversized_width_rejected_before_build(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "desk.mugc"
+        save_model(path, AVMambaNet(ModelConfig(), seed=0))
+        entries = load_checkpoint(path)
+        entries["meta.dim"] = np.array([40000.0])
+        save_checkpoint(path, entries)
+
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("load_model built a model from unchecked metadata")
+
+        monkeypatch.setattr(trainer_module, "AVMambaNet", unbuildable)
+        with pytest.raises(CheckpointError, match="proj_a.w"):
+            load_model(path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 1
+        assert "shape mismatch" in capsys.readouterr().err
+
     def test_eval_on_malformed_metadata_exits_one(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         generate_synthetic_dataset(
@@ -196,6 +227,31 @@ class TestCheckpointRoundTrip:
         r1 = evaluate_records(net, tiny_dataset.val, tiny_dataset.gt_val, tiny_dataset.classes)
         r2 = evaluate_records(net, tiny_dataset.val, tiny_dataset.gt_val, tiny_dataset.classes)
         assert r1.as_row() == r2.as_row()
+
+
+class TestNoGradEvaluation:
+    def test_predict_records_matches_graph_building_forward(self, tiny_dataset, monkeypatch):
+        net, _ = tiny_train(tiny_dataset, epochs=1)
+        texts = TextCache(tiny_dataset.classes, net.config.text_dim)
+        seen = []
+        binarize = trainer_module.binarize
+
+        def spy(outputs, *args):
+            seen.append(outputs)
+            return binarize(outputs, *args)
+
+        monkeypatch.setattr(trainer_module, "binarize", spy)
+        preds = predict_records(net, tiny_dataset.val, texts)
+        assert len(seen) == len(tiny_dataset.val)
+        for record, quiet in zip(tiny_dataset.val, seen):
+            assert not quiet.video_prob.requires_grad
+            outputs = forward_record(net, record, texts)
+            assert outputs.video_prob.requires_grad
+            for key in ("seg_prob_a", "seg_prob_v", "video_prob"):
+                assert np.array_equal(getattr(quiet, key).data, getattr(outputs, key).data)
+            expected = binarize(outputs, video_id=record.video_id)
+            assert np.array_equal(preds[record.video_id].pred_a, expected.pred_a)
+            assert np.array_equal(preds[record.video_id].pred_v, expected.pred_v)
 
 
 class TestAugmentedTraining:
