@@ -54,7 +54,7 @@ class LabelDistribution:
         return {c: n / total for c, n in self.retained.items()}
 
 
-def count_label_distribution(records, threshold: int = 50) -> LabelDistribution:
+def count_label_distribution(records, threshold: int) -> LabelDistribution:
     """Count, per class, how many videos carry it; keep counts > threshold."""
     counts: dict[int, int] = {}
     for r in records:

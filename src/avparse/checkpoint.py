@@ -4,7 +4,8 @@ Layout (all integers little-endian u32):
 
     "MUGC" | version | count | entries...
 
-with each entry ``name_len | name utf-8 | rank | dims[rank] | f64 payload``.
+with each entry ``name_len | name utf-8 | rank | dims[rank] | f64 payload``;
+entry names are unique.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             name = r.take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"entry name is not valid UTF-8: {exc}") from exc
+        if name in out:
+            raise CheckpointError(f"duplicate checkpoint entry {name!r}")
         rank = r.u32("rank")
         dims = tuple(r.u32("dimension") for _ in range(rank))
         n = math.prod(dims)  # exact; np.prod wraps around in int64
@@ -86,5 +89,3 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
     if r.pos != len(blob):
         raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after last entry")
     return out
-
-

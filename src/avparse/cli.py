@@ -245,7 +245,7 @@ def cmd_ablate(args) -> int:
     model_config, train_config = _train_configs(args)
     train_split = load_split(args.data, "train")
     val_split = load_split(args.data, "val")
-    model_config = trainer_mod._config_for_split(train_split, model_config)
+    model_config = trainer_mod._config_for_split(train_split, model_config, args.data)
     _, report = trainer_mod.ablate(args.component, model_config, train_split.records,
                                    train_split.classes, val_split.records, val_split.gt,
                                    train_config)

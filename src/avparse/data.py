@@ -17,8 +17,9 @@ File formats (all versioned, all deterministic given their inputs):
   combination;
 * manifest -- ``key = value`` lines (read by ``read_key_values``, which also
   reads ``--config`` files) plus one ``video = id|audio|visual|labels`` record
-  per video, paths relative to the manifest. ``version`` and ``segments``
-  must be positive integers.
+  per video, paths relative to the manifest. ``format``, ``version``,
+  ``split``, ``segments`` and ``classes`` each appear exactly once; any other
+  key is an error. ``version`` and ``segments`` must be positive integers.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ FEATURE_MAGIC = b"AVMF"
 FEATURE_VERSION = 1
 MANIFEST_FORMAT = "avparse-manifest"
 MANIFEST_VERSION = 1
+MANIFEST_KEYS = ("format", "version", "split", "segments", "classes")  # each exactly once
 LABEL_CSV_HEADER = ["video_id", "modality", "segment", "labels"]
 DISCARD_TOKEN = "DISCARD"
 EMPTY_TOKEN = "NONE"  # annotated as event-free, as opposed to unannotated
@@ -369,9 +371,13 @@ def parse_manifest(path) -> Manifest:
             vid, audio_path, visual_path, labels_raw = parts
             videos.append((vid, audio_path, visual_path,
                            frozenset(_split_names(labels_raw, f"{path} line {lineno}"))))
+        elif key not in MANIFEST_KEYS:
+            raise ParseError(f"{path} line {lineno}: unknown manifest key {key!r}")
+        elif key in keys:
+            raise ParseError(f"{path} line {lineno}: repeated manifest key {key!r}")
         else:
             keys[key] = value
-    for required in ("format", "version", "split", "segments", "classes"):
+    for required in MANIFEST_KEYS:
         if required not in keys:
             raise ParseError(f"{path}: missing manifest key {required!r}")
     if keys["format"] != MANIFEST_FORMAT:

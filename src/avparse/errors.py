@@ -68,14 +68,18 @@ class TrainingError(AvparseError):
 POSITIVE = (lambda v: v > 0, "> 0")
 NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 UNIT_INTERVAL = (lambda v: 0 <= v <= 1, "in [0, 1]")
+OPEN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
+
+
+def check_value(rule, name: str, value, owner: str = "") -> None:
+    """Raise ``ConfigError`` if ``value`` is not None and breaks ``rule``;
+    ``owner`` prefixes ``name`` in the message."""
+    test, text = rule
+    if value is not None and not test(value):
+        raise ConfigError(f"{owner}{name} must be {text}, got {value!r}", field=name)
 
 
 def check_fields(owner, rule, *names: str) -> None:
-    """Raise ``ConfigError`` for the first named attribute of ``owner`` that is
-    not None and breaks ``rule``."""
-    test, text = rule
+    """``check_value`` for each named attribute of ``owner``, in order."""
     for name in names:
-        value = getattr(owner, name)
-        if value is not None and not test(value):
-            raise ConfigError(f"{type(owner).__name__}.{name} must be {text}, got {value!r}",
-                              field=name)
+        check_value(rule, name, getattr(owner, name), f"{type(owner).__name__}.")

@@ -47,18 +47,15 @@ class Module:
 class Linear(Module):
     """Affine map ``x @ W + b`` with N(0, init_scale^2/fan_in) weight init."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True,
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  init_scale: float = 1.0):
         super().__init__()
         self.w = self._register(
             "w", rng.standard_normal((d_in, d_out)) * (init_scale / np.sqrt(d_in)))
-        self.b = self._register("b", np.zeros(d_out)) if bias else None
+        self.b = self._register("b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = tt.matmul(x, self.w)
-        if self.b is not None:
-            y = y + self.b
-        return y
+        return tt.matmul(x, self.w) + self.b
 
 
 class LayerNorm(Module):

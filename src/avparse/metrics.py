@@ -10,18 +10,17 @@ IoU >= 0.5 with deterministic tie-breaks.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import label_tables, read_label_rows
-from .errors import ConfigError, EvaluationError, ShapeError
+from .errors import OPEN_UNIT_INTERVAL, EvaluationError, ShapeError, check_value
 
-REPORT_COLUMNS = [
-    "seg_a", "seg_v", "seg_av", "seg_type_at_av", "seg_event_at_av",
-    "evt_a", "evt_v", "evt_av", "evt_type_at_av", "evt_event_at_av",
-]
+THETA = 0.5  # default segment and video thresholds of binarize
+IOU_THRESHOLD = 0.5  # an event pair matches at IoU >= this
+TRACKS = ("a", "v", "av")  # scored per track; Type@AV is their mean
 
 
 @dataclass
@@ -89,19 +88,21 @@ class MetricReport:
             writer.writerow([f"{v:.6f}" for v in self.as_row()])
 
 
+REPORT_COLUMNS = [f.name for f in fields(MetricReport)]
+
+
 # -- binarization -------------------------------------------------------------
 
 
-def binarize(outputs, theta_seg: float = 0.5, theta_vid: float = 0.5,
+def binarize(outputs, theta_seg: float = THETA, theta_vid: float = THETA,
              video_id: str = "") -> SegmentPrediction:
     """Threshold segment probabilities, gated by the video-level head.
 
     A cell is positive only if its segment probability exceeds ``theta_seg``
     AND the class's video probability exceeds ``theta_vid`` (both strict).
     """
-    for name, theta in (("theta_seg", theta_seg), ("theta_vid", theta_vid)):
-        if not 0.0 < theta < 1.0:
-            raise ConfigError(f"{name} must be in (0, 1), got {theta}")
+    check_value(OPEN_UNIT_INTERVAL, "theta_seg", theta_seg)
+    check_value(OPEN_UNIT_INTERVAL, "theta_vid", theta_vid)
     video_gate = outputs.video_prob.data > theta_vid
     pred_a = ((outputs.seg_prob_a.data > theta_seg) & video_gate[None, :]).astype(np.int64)
     pred_v = ((outputs.seg_prob_v.data > theta_seg) & video_gate[None, :]).astype(np.int64)
@@ -152,10 +153,10 @@ def interval_iou(a: EventInterval, b: EventInterval) -> float:
     return inter / union if union else 0.0
 
 
-def match_events(pred_events, gt_events, iou_threshold: float = 0.5) -> int:
+def match_events(pred_events, gt_events) -> int:
     """Greedy one-to-one matching within (class, modality) groups.
 
-    Candidate pairs at or above the threshold are taken by descending IoU,
+    Candidate pairs at or above ``IOU_THRESHOLD`` are taken by descending IoU,
     ties broken by earlier ground-truth start, then earlier prediction start.
     """
     candidates = []
@@ -164,7 +165,7 @@ def match_events(pred_events, gt_events, iou_threshold: float = 0.5) -> int:
             if p.class_idx != g.class_idx or p.modality != g.modality:
                 continue
             iou = interval_iou(p, g)
-            if iou >= iou_threshold:
+            if iou >= IOU_THRESHOLD:
                 candidates.append((-iou, g.start, p.start, pi, gi))
     candidates.sort()
     used_p: set[int] = set()
@@ -179,79 +180,61 @@ def match_events(pred_events, gt_events, iou_threshold: float = 0.5) -> int:
     return matches
 
 
-def event_f1(pred_events, gt_events, iou_threshold: float = 0.5) -> float:
+def event_f1(pred_events, gt_events) -> float:
     if not pred_events and not gt_events:
         return 1.0
-    matches = match_events(pred_events, gt_events, iou_threshold)
+    matches = match_events(pred_events, gt_events)
     return 2.0 * matches / (len(pred_events) + len(gt_events))
 
 
 # -- aggregation ------------------------------------------------------------------
 
 
-def _truth_prediction(video_id: str, gt) -> SegmentPrediction:
-    return SegmentPrediction(video_id, gt[0], gt[1])
-
-
-def aggregate_report(predictions, truths, iou_threshold: float = 0.5) -> MetricReport:
+def aggregate_report(predictions: dict, truths: dict) -> MetricReport:
     """Fold per-video scores into the ten-number report.
 
     ``predictions`` maps video_id to SegmentPrediction; ``truths`` maps
     video_id to (gt_a, gt_v) arrays. Every predicted video needs ground
     truth; videos with ground truth but no prediction score as all-negative.
+    Each level scores every track plus the pooled a|v entry (Event@AV).
     """
-    if isinstance(predictions, dict):
-        pred_map = dict(predictions)
-    else:
-        pred_map = {p.video_id: p for p in predictions}
-    missing = sorted(set(pred_map) - set(truths))
+    missing = sorted(set(predictions) - set(truths))
     if missing:
         raise EvaluationError(f"no ground truth for predicted videos {missing[:5]}")
-    per_video = {"a": [], "v": [], "av": [], "pool": []}
-    per_video_evt = {"a": [], "v": [], "av": [], "pool": []}
+    if not truths:
+        raise EvaluationError("cannot aggregate over an empty video set")
+    scores = {level: {track: [] for track in (*TRACKS, "pool")} for level in ("seg", "evt")}
     for video_id in sorted(truths):
-        gt = _truth_prediction(video_id, truths[video_id])
-        pred = pred_map.get(video_id)
+        gt = SegmentPrediction(video_id, *truths[video_id])
+        pred = predictions.get(video_id)
         if pred is None:
             pred = SegmentPrediction(video_id, np.zeros_like(gt.pred_a), np.zeros_like(gt.pred_v))
         if pred.pred_a.shape != gt.pred_a.shape:
             raise EvaluationError(
                 f"{video_id}: prediction shape {pred.pred_a.shape} != truth {gt.pred_a.shape}")
-        per_video["a"].append(segment_f1(pred.pred_a, gt.pred_a))
-        per_video["v"].append(segment_f1(pred.pred_v, gt.pred_v))
-        per_video["av"].append(segment_f1(pred.pred_av, gt.pred_av))
-        per_video["pool"].append(segment_f1(pred.pred_union, gt.pred_union))
-        pe = {m: extract_events(getattr(pred, f"pred_{m}"), m) for m in ("a", "v", "av")}
-        ge = {m: extract_events(getattr(gt, f"pred_{m}"), m) for m in ("a", "v", "av")}
-        per_video_evt["a"].append(event_f1(pe["a"], ge["a"], iou_threshold))
-        per_video_evt["v"].append(event_f1(pe["v"], ge["v"], iou_threshold))
-        per_video_evt["av"].append(event_f1(pe["av"], ge["av"], iou_threshold))
-        per_video_evt["pool"].append(
-            event_f1(pe["a"] + pe["v"], ge["a"] + ge["v"], iou_threshold))
-    if not truths:
-        raise EvaluationError("cannot aggregate over an empty video set")
-
-    def mean(values):
-        return float(np.mean(values))
-
-    seg_a, seg_v, seg_av = mean(per_video["a"]), mean(per_video["v"]), mean(per_video["av"])
-    evt_a, evt_v, evt_av = (mean(per_video_evt["a"]), mean(per_video_evt["v"]),
-                            mean(per_video_evt["av"]))
-    return MetricReport(
-        seg_a=seg_a, seg_v=seg_v, seg_av=seg_av,
-        seg_type_at_av=(seg_a + seg_v + seg_av) / 3.0,
-        seg_event_at_av=mean(per_video["pool"]),
-        evt_a=evt_a, evt_v=evt_v, evt_av=evt_av,
-        evt_type_at_av=(evt_a + evt_v + evt_av) / 3.0,
-        evt_event_at_av=mean(per_video_evt["pool"]),
-    )
+        pred_events, gt_events = {}, {}
+        for track in TRACKS:
+            p, g = getattr(pred, f"pred_{track}"), getattr(gt, f"pred_{track}")
+            pred_events[track] = extract_events(p, track)
+            gt_events[track] = extract_events(g, track)
+            scores["seg"][track].append(segment_f1(p, g))
+            scores["evt"][track].append(event_f1(pred_events[track], gt_events[track]))
+        scores["seg"]["pool"].append(segment_f1(pred.pred_union, gt.pred_union))
+        scores["evt"]["pool"].append(event_f1(pred_events["a"] + pred_events["v"],
+                                              gt_events["a"] + gt_events["v"]))
+    values = {}
+    for level, per_track in scores.items():
+        means = {track: float(np.mean(v)) for track, v in per_track.items()}
+        values.update({f"{level}_{track}": means[track] for track in TRACKS})
+        values[f"{level}_type_at_av"] = (means["a"] + means["v"] + means["av"]) / 3.0
+        values[f"{level}_event_at_av"] = means["pool"]
+    return MetricReport(**values)
 
 
 # -- dump-file evaluation ------------------------------------------------------------
 
 
-def report_from_dumps(pred_path, gt_path, classes=None,
-                      iou_threshold: float = 0.5) -> MetricReport:
+def report_from_dumps(pred_path, gt_path, classes=None) -> MetricReport:
     """Score prediction dumps against ground-truth dumps, no model involved.
 
     Each file is read once. When ``classes`` is not given the vocabulary is
@@ -277,4 +260,4 @@ def report_from_dumps(pred_path, gt_path, classes=None,
     truths = {}
     for vid, entry in gt_table.items():
         truths[vid] = (entry.get("a", (zero, None))[0], entry.get("v", (zero, None))[0])
-    return aggregate_report(preds, truths, iou_threshold)
+    return aggregate_report(preds, truths)

@@ -20,7 +20,7 @@ from . import tensor as tt
 from .data import check_binary_matrix
 from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, ShapeError, VocabularyError,
                      check_fields)
-from .layers import MLP, LayerNorm, Linear, Module
+from .layers import MLP, Linear, Module
 from .ssm import (MambaBlock, SharedMatrixHandle, SsmParams, default_dt_rank,
                   selective_scan, selective_scan_backward, selective_scan_dynamic)
 from .tensor import Tensor
@@ -135,44 +135,33 @@ class TemporalSpatialAttention(Module):
         return refined * self.temporal_weights(refined)
 
 
-class FusionStream(Module):
-    """One modality's gated triple-scan branch inside the fusion block;
-    ``handles`` holds the shared matrix of each branch (fwd, bwd, dyn)."""
+class FusionStream(MambaBlock):
+    """One modality's gated block in the fusion block: its scan is the sum of a
+    forward, a backward and a dynamic scan, whose shared matrices are in
+    ``handles`` (fwd, bwd, dyn)."""
 
     def __init__(self, dim: int, rng: np.random.Generator, d_state: int, expand: int,
                  d_conv: int, modality: str, handles: dict[str, SharedMatrixHandle]):
-        super().__init__()
-        d_inner = expand * dim
-        self.d_inner = d_inner
-        self.norm = self._child("norm", LayerNorm(dim))
-        self.w_in_x = self._register("w_in_x", rng.standard_normal((dim, d_inner)) / np.sqrt(dim))
-        self.w_in_z = self._register("w_in_z", rng.standard_normal((dim, d_inner)) / np.sqrt(dim))
-        self.conv_w = self._register("conv_w", rng.standard_normal((d_conv, d_inner)) / np.sqrt(d_conv))
-        self.conv_b = self._register("conv_b", np.zeros(d_inner))
-        rank = default_dt_rank(dim)
-        self.ssm_fwd = self._child("ssm_fwd", SsmParams(
-            d_inner, d_state, rng, rank, shared=handles["fwd"], modality=modality))
-        self.ssm_bwd = self._child("ssm_bwd", SsmParams(
-            d_inner, d_state, rng, rank, shared=handles["bwd"], modality=modality))
-        self.ssm_dyn = self._child("ssm_dyn", SsmParams(
-            d_inner, d_state, rng, rank, shared=handles["dyn"], modality=modality))
+        self.modality = modality
+        self.handles = handles
+        super().__init__(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv)
+
+    def _register_scan(self, rng: np.random.Generator, d_state: int) -> None:
+        d_inner, rank = self.d_inner, default_dt_rank(self.d_model)
+        self.ssm_fwd, self.ssm_bwd, self.ssm_dyn = (  # drawn in this order
+            self._child(f"ssm_{branch}", SsmParams(d_inner, d_state, rng, rank,
+                                                   shared=self.handles[branch],
+                                                   modality=self.modality))
+            for branch in ("fwd", "bwd", "dyn"))
         self.w_start = self._register("w_start", rng.standard_normal((d_inner, 1)) / np.sqrt(d_inner))
         self.b_start = self._register("b_start", np.zeros(1))
-        self.w_out = self._register("w_out", rng.standard_normal((d_inner, dim)) / np.sqrt(d_inner))
-        self.b_out = self._register("b_out", np.zeros(dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        t_len = x.shape[0]
-        u = self.norm(x)
-        xm = tt.matmul(u, self.w_in_x)
-        z = tt.matmul(u, self.w_in_z)
-        xc = tt.silu(tt.conv1d_depthwise(xm, self.conv_w, self.conv_b))
+    def _scan(self, xc: Tensor) -> Tensor:
         y_fwd = selective_scan(xc, self.ssm_fwd)
         y_bwd = selective_scan_backward(xc, self.ssm_bwd)
-        logits = tt.reshape(tt.matmul(xc, self.w_start) + self.b_start, (t_len,))
+        logits = tt.reshape(tt.matmul(xc, self.w_start) + self.b_start, (xc.shape[0],))
         y_dyn = selective_scan_dynamic(xc, self.ssm_dyn, logits)
-        fused = (y_fwd + y_bwd + y_dyn) * tt.silu(z)
-        return tt.matmul(fused, self.w_out) + self.b_out + x
+        return y_fwd + y_bwd + y_dyn
 
 
 class CrossModalFusion(Module):

@@ -330,7 +330,9 @@ def default_dt_rank(d_model: int) -> int:
 class MambaBlock(Module):
     """Norm -> gated dual-branch -> causal depthwise conv -> selective scan.
 
-    Shape-preserving: ``[T, d] -> [T, d]`` with a residual connection.
+    Shape-preserving: ``[T, d] -> [T, d]`` with a residual connection. A
+    subclass swaps the scan by overriding :meth:`_register_scan` (called
+    between the conv and the output projection) and :meth:`_scan`.
     """
 
     def __init__(self, d_model: int, rng: np.random.Generator, d_state: int = 16,
@@ -346,16 +348,21 @@ class MambaBlock(Module):
         self.conv_w = self._register(
             "conv_w", rng.standard_normal((d_conv, self.d_inner)) / np.sqrt(d_conv))
         self.conv_b = self._register("conv_b", np.zeros(self.d_inner))
-        self.ssm = self._child(
-            "ssm", SsmParams(self.d_inner, d_state, rng, default_dt_rank(d_model)))
+        self._register_scan(rng, d_state)
         self.w_out = self._register(
             "w_out", rng.standard_normal((self.d_inner, d_model)) / np.sqrt(self.d_inner))
         self.b_out = self._register("b_out", np.zeros(d_model))
+
+    def _register_scan(self, rng: np.random.Generator, d_state: int) -> None:
+        self.ssm = self._child(
+            "ssm", SsmParams(self.d_inner, d_state, rng, default_dt_rank(self.d_model)))
+
+    def _scan(self, xc: Tensor) -> Tensor:
+        return selective_scan(xc, self.ssm)
 
     def __call__(self, x: Tensor) -> Tensor:
         u = self.norm(x)
         xm = tt.matmul(u, self.w_in_x)
         z = tt.matmul(u, self.w_in_z)
         xc = tt.silu(tt.conv1d_depthwise(xm, self.conv_w, self.conv_b))
-        y = selective_scan(xc, self.ssm)
-        return tt.matmul(y * tt.silu(z), self.w_out) + self.b_out + x
+        return tt.matmul(self._scan(xc) * tt.silu(z), self.w_out) + self.b_out + x

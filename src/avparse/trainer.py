@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import os
 import time
 from collections import OrderedDict
@@ -12,9 +13,10 @@ import numpy as np
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import LoadedSplit, VideoRecord, load_split
-from .errors import (NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, CheckpointError, ConfigError,
-                     EvaluationError, TrainingError, check_fields)
-from .metrics import MetricReport, SegmentPrediction, aggregate_report, binarize
+from .errors import (NON_NEGATIVE, OPEN_UNIT_INTERVAL, POSITIVE, UNIT_INTERVAL, CheckpointError,
+                     ConfigError, EvaluationError, ParseError, TrainingError, check_fields)
+from .metrics import (REPORT_COLUMNS, THETA, MetricReport, SegmentPrediction, aggregate_report,
+                      binarize)
 from .model import (AMF_MODES, AVMambaNet, ModelConfig, compute_loss,
                     embed_pseudo_matrix)
 from .tensor import AdamW, no_grad
@@ -31,16 +33,15 @@ class TrainConfig:
     seed: int = 0
     cmrc_multiplier: float = 0.0  # 0 disables augmentation
     min_count: int = 50
-    theta_seg: float = 0.5
-    theta_vid: float = 0.5
+    theta_seg: float = THETA
+    theta_vid: float = THETA
     eval_every: int = 1
     stop_at_type_av: float | None = None  # early exit once validation reaches this
 
     def __post_init__(self):
         check_fields(self, POSITIVE, "epochs", "batch_size", "learning_rate", "eval_every")
         check_fields(self, NON_NEGATIVE, "weight_decay", "seed", "cmrc_multiplier", "min_count")
-        # binarize's range: both thresholds are strict comparisons
-        check_fields(self, (lambda v: 0 < v < 1, "in (0, 1)"), "theta_seg", "theta_vid")
+        check_fields(self, OPEN_UNIT_INTERVAL, "theta_seg", "theta_vid")
         check_fields(self, UNIT_INTERVAL, "stop_at_type_av")
 
 
@@ -77,10 +78,6 @@ class TrainLog:
     entries: list[EpochStats] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        import csv
-
-        from .metrics import REPORT_COLUMNS
-
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss", *REPORT_COLUMNS, "wall_clock_s", "n_params"])
@@ -351,7 +348,7 @@ def train(model_config: ModelConfig, train_records, classes,
 def train_on_dir(data_dir, out_dir, model_config: ModelConfig | None = None,
                  config: TrainConfig = TrainConfig()) -> tuple[AVMambaNet, TrainLog, str]:
     train_split = load_split(data_dir, "train")
-    model_config = _config_for_split(train_split, model_config)
+    model_config = _config_for_split(train_split, model_config, data_dir)
     val_records = val_gt = None
     if os.path.exists(os.path.join(data_dir, "manifest_val.txt")):  # validation is optional
         val_split = load_split(data_dir, "val")
@@ -365,7 +362,11 @@ def train_on_dir(data_dir, out_dir, model_config: ModelConfig | None = None,
     return net, log, checkpoint_path
 
 
-def _config_for_split(split: LoadedSplit, model_config: ModelConfig | None) -> ModelConfig:
+def _config_for_split(split: LoadedSplit, model_config: ModelConfig | None,
+                      data_dir) -> ModelConfig:
+    """``model_config`` with the widths that ``split``, read from ``data_dir``, fixes."""
+    if not split.records:
+        raise ParseError(f"the manifest of split {split.split!r} under {data_dir} lists no videos")
     derived = dict(
         n_segments=split.n_segments,
         n_classes=len(split.classes),

@@ -124,6 +124,19 @@ class TestTrainEvalMetrics:
                      "--epochs", "1", "--batch-size", "4", "--dim", "12", "--seed", "0"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [["train", "--out", "{tmp}/run"],
+                                      ["ablate", "--component", "tsa"]], ids=["train", "ablate"])
+    def test_empty_train_split_exit_one(self, dataset_dir, tmp_path, capsys, argv):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest_train.txt"
+        manifest.write_text("".join(f"{line}\n" for line in manifest.read_text().splitlines()
+                                    if not line.startswith("video =")))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--data", str(data), "--epochs", "1", "--dim", "12"]) == 1
+        err = capsys.readouterr().err
+        assert "'train'" in err and str(data) in err
+
     def test_eval_missing_checkpoint_is_validation_error(self, dataset_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "ghost.mugc"),
                      "--data", str(dataset_dir)])

@@ -217,6 +217,18 @@ class TestManifest:
         with pytest.raises(ParseError, match=message):
             data.parse_manifest(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("segments = 3", r"m\.txt line 5: repeated manifest key 'segments'"),
+        ("segmnets = 9", r"m\.txt line 5: unknown manifest key 'segmnets'"),
+    ], ids=["repeated", "unknown"])
+    def test_repeated_or_unknown_key_rejected(self, tmp_path, line, message):
+        path = tmp_path / "m.txt"
+        data.write_manifest(path, "train", 4, VOCAB, [("vid1", "a", "v", ["Dog"])])
+        lines = path.read_text().splitlines()
+        write_lines(path, lines[:4] + [line] + lines[4:])  # right after 'segments = 4'
+        with pytest.raises(ParseError, match=message):
+            data.parse_manifest(path)
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         write_lines(path, ["format = avparse-manifest", "version = 1"])

@@ -17,6 +17,7 @@ from avparse.metrics import (EventInterval, SegmentPrediction, aggregate_report,
                              match_events, segment_f1)
 from avparse.model import ModelOutputs
 from avparse.tensor import Tensor
+from avparse.trainer import TrainConfig
 
 T, C = 10, 3  # classes: 0=Speech, 1=Dog, 2=Violin
 
@@ -89,6 +90,16 @@ class TestBinarize:
         out = self.make_outputs(np.full((1, 1), 0.5), np.full((1, 1), 0.5), np.array([0.5]))
         with pytest.raises(ConfigError):
             binarize(out, theta_seg=1.0)
+
+    @pytest.mark.parametrize("name", ["theta_seg", "theta_vid"])
+    @pytest.mark.parametrize("value", [0.0, 1.0, float("nan")])
+    def test_threshold_range_is_train_configs(self, name, value):
+        out = self.make_outputs(np.full((1, 1), 0.5), np.full((1, 1), 0.5), np.array([0.5]))
+        with pytest.raises(ConfigError, match=r"must be in \(0, 1\)") as from_binarize:
+            binarize(out, **{name: value})
+        with pytest.raises(ConfigError, match=r"must be in \(0, 1\)") as from_config:
+            TrainConfig(**{name: value})
+        assert from_binarize.value.field == from_config.value.field == name
 
 
 class TestSegmentF1:

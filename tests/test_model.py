@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from avparse import ssm
 from avparse import tensor as tt
 from avparse.errors import ContractError, ShapeError, VocabularyError
 from avparse.model import (AVMambaNet, ChannelEnhancement, CrossModalFusion,
@@ -95,6 +96,28 @@ class TestCrossModalFusion:
         loss("both").backward()
         assert np.abs(shared.grad - (g_a + g_v)).max() < 1e-10
         amf.reset_grads()
+
+    def test_stream_is_the_gated_block_with_three_scans(self, rng):
+        amf = CrossModalFusion(4, rng, d_state=3, expand=2, d_conv=4)
+        stream = amf.stream_a
+        assert isinstance(stream, ssm.MambaBlock)
+        # names and order are the checkpoint layout
+        assert list(stream.parameters()) == [
+            "w_in_x", "w_in_z", "conv_w", "conv_b", "w_start", "b_start", "w_out", "b_out",
+            "norm.g", "norm.b",
+            *(f"ssm_{branch}.{name}" for branch in ("fwd", "bwd", "dyn")
+              for name in ("a_log", "w_b", "w_c", "w_dt1", "w_dt2", "b_dt", "d_skip"))]
+        x = Tensor(rng.standard_normal((5, 4)))
+        u = stream.norm(x)
+        xc = tt.silu(tt.conv1d_depthwise(tt.matmul(u, stream.w_in_x), stream.conv_w,
+                                         stream.conv_b))
+        logits = tt.reshape(tt.matmul(xc, stream.w_start) + stream.b_start, (5,))
+        scans = (ssm.selective_scan(xc, stream.ssm_fwd)
+                 + ssm.selective_scan_backward(xc, stream.ssm_bwd)
+                 + ssm.selective_scan_dynamic(xc, stream.ssm_dyn, logits))
+        expected = (tt.matmul(scans * tt.silu(tt.matmul(u, stream.w_in_z)), stream.w_out)
+                    + stream.b_out + x)
+        assert np.array_equal(stream(x).data, expected.data)
 
 
 class TestChannelEnhancement:

@@ -1,5 +1,7 @@
 """Training loop: determinism, checkpointing, loss calibration, ablations."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ def malformed_checkpoint(tmp_path, name, value):
     entries[name] = np.array(value, dtype=np.float64)
     save_checkpoint(path, entries)
     return path
+
+
+def append_entry(path, name, value):
+    """Append one more entry ``name`` to the checkpoint at ``path``."""
+    single = path.with_suffix(".one")
+    save_checkpoint(single, {name: np.array(value, dtype=np.float64)})
+    blob = path.read_bytes()
+    count = struct.unpack("<I", blob[8:12])[0]
+    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:]
+                     + single.read_bytes()[12:])
 
 
 def tiny_train(ds, **overrides):
@@ -212,6 +224,22 @@ class TestCheckpointRoundTrip:
             load_model(path)
         assert cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 1
         assert "shape mismatch" in capsys.readouterr().err
+
+    def test_duplicate_entry_rejected(self, tmp_path, capsys):
+        path = tmp_path / "x.mugc"
+        save_checkpoint(path, {"x": np.array([1.0])})
+        append_entry(path, "x", [2.0])
+        with pytest.raises(CheckpointError, match="duplicate checkpoint entry 'x'"):
+            load_checkpoint(path)
+        data_dir = tmp_path / "data"
+        generate_synthetic_dataset(
+            SynthConfig(seed=9, n_videos=2, n_val=2, n_segments=6, n_classes=5,
+                        d_audio=8, d_visual=8), str(data_dir))
+        path = tmp_path / "model.mugc"
+        save_model(path, AVMambaNet(ModelConfig(**TINY_MODEL), seed=0))
+        append_entry(path, "proj_a.w", np.zeros((8, 12)))
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", str(data_dir)]) == 1
+        assert "'proj_a.w'" in capsys.readouterr().err
 
     def test_eval_on_malformed_metadata_exits_one(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
