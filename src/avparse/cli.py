@@ -21,7 +21,7 @@ import typing
 from . import trainer as trainer_mod
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch, write_cmrc_outputs
 from .data import (SynthConfig, apply_annotation_patch, generate_synthetic_dataset,
-                   load_split, parse_manifest, read_key_values, write_label_csv)
+                   load_split, read_key_values, write_label_csv)
 from .diagnostics import run_grad_checks, run_scan_checks
 from .errors import AvparseError, ConfigError, ParseError
 from .metrics import report_from_dumps
@@ -204,8 +204,7 @@ def cmd_augment(args) -> int:
         apply_annotation_patch(split.records, args.patch, split.classes)
     dist = count_label_distribution(split.records, config.min_count)
     batch = generate_cmrc_batch(split.records, dist, config)
-    manifest = parse_manifest(os.path.join(args.data, "manifest_train.txt"))
-    write_cmrc_outputs(args.out, batch, manifest, args.data)
+    write_cmrc_outputs(args.out, batch, split.manifest, args.data)
     print(f"wrote {len(batch)} combined records to {args.out} "
           f"({len(dist.retained)} retained classes)")
     return 0

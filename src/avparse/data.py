@@ -590,10 +590,29 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir: str) -> SyntheticDatas
 @dataclass
 class LoadedSplit:
     split: str
-    n_segments: int
-    classes: list[str]
+    manifest: Manifest  # as parsed: the split's segments, classes and feature paths
     records: list[VideoRecord]
     gt: dict | None  # video_id -> (gt_a, gt_v), when the split ships ground truth
+
+    @property
+    def n_segments(self) -> int:
+        return self.manifest.n_segments
+
+    @property
+    def classes(self) -> list[str]:
+        return self.manifest.classes
+
+
+def _listed_label_table(path, manifest: Manifest, split: str):
+    """``label_tables`` of the label CSV at ``path``; a row for a video that
+    the split's manifest does not list is a ``ParseError``, not a silent extra."""
+    rows = read_label_rows(path)
+    listed = {vid for vid, _, _, _ in manifest.records}
+    for row in rows:
+        if row.video_id not in listed:
+            raise ParseError(f"{row.where}: video {row.video_id!r} is not listed in the "
+                             f"manifest of split {split!r}")
+    return label_tables(rows, manifest.classes, manifest.n_segments)
 
 
 def load_split(data_dir: str, split: str) -> LoadedSplit:
@@ -606,7 +625,7 @@ def load_split(data_dir: str, split: str) -> LoadedSplit:
     pseudo_path = os.path.join(data_dir, f"pseudo_{split}.csv")
     pseudo_table: dict = {}
     if os.path.exists(pseudo_path):
-        pseudo_table, _ = parse_label_csv(pseudo_path, manifest.classes, manifest.n_segments)
+        pseudo_table = _listed_label_table(pseudo_path, manifest, split)
     t, c = manifest.n_segments, len(manifest.classes)
     records = []
     for vid, audio_rel, visual_rel, labels in manifest.records:
@@ -623,10 +642,9 @@ def load_split(data_dir: str, split: str) -> LoadedSplit:
     gt = None
     gt_path = os.path.join(data_dir, f"gt_{split}.csv")
     if os.path.exists(gt_path):
-        gt_table, _ = parse_label_csv(gt_path, manifest.classes, manifest.n_segments)
         gt = {}
-        for vid, entry in gt_table.items():
+        for vid, entry in _listed_label_table(gt_path, manifest, split).items():
             ga = entry.get("a", (np.zeros((t, c)), None))[0]
             gv = entry.get("v", (np.zeros((t, c)), None))[0]
             gt[vid] = (ga, gv)
-    return LoadedSplit(split, manifest.n_segments, manifest.classes, records, gt)
+    return LoadedSplit(split, manifest, records, gt)

@@ -312,4 +312,30 @@ def run_scan_checks(seed: int = 0, cases: int = 100) -> list[CheckResult]:
     dev = float(np.abs(y_dyn.data - expected).max())
     results.append(CheckResult("dynamic matches term-by-term mixture", dev, 1e-12,
                                dev < 1e-12, "max abs deviation"))
+    results.append(_batched_scan_check(np.random.default_rng([seed, 1])))
     return results
+
+
+def _batched_scan_check(rng: np.random.Generator, batch: int = 3) -> CheckResult:
+    """The fused forward, backward and dynamic scans on one ``[B, T, D]``
+    batch against the sequential oracles run record by record; the start
+    distributions are one-hot, uniform and random."""
+    t_len, d_inner, n_state = 9, 5, 4
+    params = ssm.SsmParams(d_inner, n_state, rng, dt_rank=2)
+    x = Tensor(rng.standard_normal((batch, t_len, d_inner)))
+    logits = rng.standard_normal((batch, t_len))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    probs[0] = np.eye(t_len)[int(rng.integers(t_len))]
+    probs[1] = 1.0 / t_len
+    batched = (ssm.selective_scan(x, params), ssm.selective_scan_backward(x, params),
+               ssm.dynamic_mixture(x, params, Tensor(probs)))
+    worst = 0.0
+    for i in range(batch):
+        xi = Tensor(x.data[i])
+        oracles = (ssm.selective_scan_sequential(xi, params),
+                   tt.reverse(ssm.selective_scan_sequential(tt.reverse(xi, 0), params), 0),
+                   ssm.dynamic_mixture_sequential(xi, params, Tensor(probs[i])))
+        for y, oracle in zip(batched, oracles):
+            worst = max(worst, float(np.abs(y.data[i] - oracle.data).max()))
+    return CheckResult(f"batched fused scans vs per-record sequential oracles (B={batch})",
+                       worst, 1e-9, worst < 1e-9, "fwd, bwd and dynamic, max abs deviation")

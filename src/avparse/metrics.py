@@ -74,12 +74,13 @@ class MetricReport:
         return {c: getattr(self, c) for c in REPORT_COLUMNS}
 
     def table(self) -> str:
-        head = f"{'':14s}{'A':>8s}{'V':>8s}{'AV':>8s}{'Type@AV':>9s}{'Event@AV':>10s}"
-        seg = (f"{'segment-level':14s}{self.seg_a:8.4f}{self.seg_v:8.4f}"
-               f"{self.seg_av:8.4f}{self.seg_type_at_av:9.4f}{self.seg_event_at_av:10.4f}")
-        evt = (f"{'event-level':14s}{self.evt_a:8.4f}{self.evt_v:8.4f}"
-               f"{self.evt_av:8.4f}{self.evt_type_at_av:9.4f}{self.evt_event_at_av:10.4f}")
-        return "\n".join([head, seg, evt])
+        """One row per level, its ``<level>_*`` fields in field order."""
+        lines = [f"{'':14s}" + "".join(f"{head:>{width}s}" for head, width in TABLE_COLUMNS)]
+        for level, label in TABLE_LEVELS:
+            values = [getattr(self, f.name) for f in fields(self) if f.name.startswith(level)]
+            lines.append(f"{label:14s}" + "".join(
+                f"{v:{width}.4f}" for v, (_, width) in zip(values, TABLE_COLUMNS, strict=True)))
+        return "\n".join(lines)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -89,6 +90,9 @@ class MetricReport:
 
 
 REPORT_COLUMNS = [f.name for f in fields(MetricReport)]
+# the printed table: a heading and width per track column, a label per level
+TABLE_COLUMNS = (("A", 8), ("V", 8), ("AV", 8), ("Type@AV", 9), ("Event@AV", 10))
+TABLE_LEVELS = (("seg_", "segment-level"), ("evt_", "event-level"))
 
 
 # -- binarization -------------------------------------------------------------

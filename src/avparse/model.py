@@ -5,8 +5,10 @@ cross-modal scan fusion (shared input-projection matrices, forward/backward/
 dynamic branches) -> agreement-gated channel enhancement -> text-conditioned
 scale/bias residual -> hybrid attention tail -> attentive MIL head.
 
-Every stage is shape-preserving on ``[T, d]`` and can be structurally removed
-for ablation studies.
+Every stage is shape-preserving on ``[..., T, d]``: one record is ``[T, d]``
+and a batch ``[B, T, d]``, run by the same code, and each record of a batch
+gets the bits it gets alone. Every stage can be structurally removed for
+ablation studies.
 """
 
 from __future__ import annotations
@@ -66,12 +68,18 @@ class ModelConfig:
 
 @dataclass
 class ModelOutputs:
-    seg_prob_a: Tensor  # [T, C], strictly in (0, 1)
+    seg_prob_a: Tensor  # [..., T, C], strictly in (0, 1)
     seg_prob_v: Tensor
-    video_prob: Tensor  # [C]
+    video_prob: Tensor  # [..., C]
     diagnostics: dict = field(default_factory=dict)
     # each enabled stage's output in pipeline order, e.g. "tsa_out_a", "amf_mix"
     stages: dict[str, Tensor] = field(default_factory=dict)
+
+    def record(self, i: int) -> "ModelOutputs":
+        """Record ``i`` of a batched forward: its three probabilities only,
+        outside any graph."""
+        return ModelOutputs(Tensor(self.seg_prob_a.data[i]), Tensor(self.seg_prob_v.data[i]),
+                            Tensor(self.video_prob.data[i]))
 
 
 # -- text stub -----------------------------------------------------------------
@@ -122,12 +130,13 @@ class TemporalSpatialAttention(Module):
         self.temporal_proj = self._child("temporal_proj", Linear(2, 1, rng))
 
     def channel_weights(self, x: Tensor) -> Tensor:
-        avg_c = tt.pool(x, axis=0, kind="avg")
-        max_c = tt.pool(x, axis=0, kind="max")
+        avg_c = tt.pool(x, axis=-2, kind="avg")
+        max_c = tt.pool(x, axis=-2, kind="max")
         return tt.sigmoid(self.channel_block(avg_c) + self.channel_block(max_c))
 
     def temporal_weights(self, x: Tensor) -> Tensor:
-        pooled = tt.concat([tt.pool(x, axis=1, kind="avg"), tt.pool(x, axis=1, kind="max")], axis=1)
+        pooled = tt.concat([tt.pool(x, axis=-1, kind="avg"), tt.pool(x, axis=-1, kind="max")],
+                           axis=-1)
         return tt.sigmoid(self.temporal_proj(self.temporal_block(pooled)))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -159,7 +168,7 @@ class FusionStream(MambaBlock):
     def _scan(self, xc: Tensor) -> Tensor:
         y_fwd = selective_scan(xc, self.ssm_fwd)
         y_bwd = selective_scan_backward(xc, self.ssm_bwd)
-        logits = tt.reshape(tt.matmul(xc, self.w_start) + self.b_start, (xc.shape[0],))
+        logits = tt.reshape(tt.matmul(xc, self.w_start) + self.b_start, xc.shape[:-1])
         y_dyn = selective_scan_dynamic(xc, self.ssm_dyn, logits)
         return y_fwd + y_bwd + y_dyn
 
@@ -190,7 +199,7 @@ class CrossModalFusion(Module):
     def __call__(self, f_a: Tensor, f_v: Tensor):
         out_a = self.stream_a(f_a)
         out_v = self.stream_v(f_v)
-        mix = self.mix_proj(tt.concat([out_a, out_v], axis=1))
+        mix = self.mix_proj(tt.concat([out_a, out_v], axis=-1))
         return out_a, out_v, mix
 
 
@@ -268,7 +277,7 @@ class Attention(Module):
         k = self.wk(keys_values)
         v = self.wv(keys_values)
         scores = tt.matmul(q, tt.transpose(k)) * (1.0 / np.sqrt(self.dim))
-        weights = tt.softmax(scores, axis=1)
+        weights = tt.softmax(scores, axis=-1)
         return tt.matmul(weights, v), weights
 
 
@@ -302,18 +311,18 @@ class MILHead(Module):
     def __call__(self, g_a: Tensor, g_v: Tensor) -> ModelOutputs:
         prob_a = tt.sigmoid(self.classifier(g_a))
         prob_v = tt.sigmoid(self.classifier(g_v))
-        w_time_a = tt.softmax(self.time_score(g_a), axis=0)
-        w_time_v = tt.softmax(self.time_score(g_v), axis=0)
+        w_time_a = tt.softmax(self.time_score(g_a), axis=-2)
+        w_time_v = tt.softmax(self.time_score(g_v), axis=-2)
         mod_logits = tt.concat([
-            self.mod_score(tt.pool(g_a, axis=0, kind="avg")),
-            self.mod_score(tt.pool(g_v, axis=0, kind="avg")),
-        ], axis=0)
-        w_mod = tt.softmax(mod_logits, axis=0)  # [2, C]
+            self.mod_score(tt.pool(g_a, axis=-2, kind="avg")),
+            self.mod_score(tt.pool(g_v, axis=-2, kind="avg")),
+        ], axis=-2)
+        w_mod = tt.softmax(mod_logits, axis=-2)  # [..., 2, C]
         pooled = tt.concat([
-            tt.tsum(w_time_a * prob_a, axis=0, keepdims=True),
-            tt.tsum(w_time_v * prob_v, axis=0, keepdims=True),
-        ], axis=0)
-        video_prob = tt.tsum(w_mod * pooled, axis=0)
+            tt.tsum(w_time_a * prob_a, axis=-2, keepdims=True),
+            tt.tsum(w_time_v * prob_v, axis=-2, keepdims=True),
+        ], axis=-2)
+        video_prob = tt.tsum(w_mod * pooled, axis=-2)
         diagnostics = {
             "w_time_a": w_time_a.data.copy(),
             "w_time_v": w_time_v.data.copy(),
@@ -354,25 +363,31 @@ class AVMambaNet(Module):
         self.mmil = self._child("mmil", MILHead(d, config.n_classes, rng))
 
     def _check_inputs(self, audio: np.ndarray, visual: np.ndarray,
-                      text_a: np.ndarray | None, text_v: np.ndarray | None) -> None:
+                      text_a: np.ndarray | None, text_v: np.ndarray | None) -> tuple[int, ...]:
+        """The batch shape: ``()`` for one ``[T, d]`` record, ``(B,)`` for a
+        ``[B, T, d]`` batch."""
         cfg = self.config
-        t = cfg.n_segments
-        if audio.shape != (t, cfg.d_audio_in):
-            raise ShapeError(f"audio features must be [{t}, {cfg.d_audio_in}], got {audio.shape}")
-        if visual.shape != (t, cfg.d_visual_in):
-            raise ShapeError(f"visual features must be [{t}, {cfg.d_visual_in}], got {visual.shape}")
-        for name, text in (("audio", text_a), ("visual", text_v)):
-            if text is not None and text.shape != (t, cfg.text_dim):
-                raise ShapeError(f"{name} text embedding must be [{t}, {cfg.text_dim}], got {text.shape}")
+        if audio.ndim not in (2, 3):
+            raise ShapeError(f"audio features must be [T, d] or [B, T, d], got {list(audio.shape)}")
+        lead = audio.shape[:-2]
+        for name, values, width in (("audio features", audio, cfg.d_audio_in),
+                                    ("visual features", visual, cfg.d_visual_in),
+                                    ("audio text embedding", text_a, cfg.text_dim),
+                                    ("visual text embedding", text_v, cfg.text_dim)):
+            want = (*lead, cfg.n_segments, width)
+            if values is not None and values.shape != want:
+                raise ShapeError(f"{name} must be {list(want)}, got {list(values.shape)}")
+        return lead
 
     def forward(self, audio: np.ndarray, visual: np.ndarray,
                 text_a: np.ndarray | None = None, text_v: np.ndarray | None = None) -> ModelOutputs:
+        """One record (``[T, d_in]`` inputs) or a batch (``[B, T, d_in]``)."""
         cfg = self.config
         audio = np.asarray(audio, dtype=np.float64)
         visual = np.asarray(visual, dtype=np.float64)
-        self._check_inputs(audio, visual, text_a, text_v)
+        lead = self._check_inputs(audio, visual, text_a, text_v)
         stages: dict[str, Tensor] = {}
-        t = cfg.n_segments
+        t = (*lead, cfg.n_segments)
 
         f_a = self.proj_a(Tensor(audio))
         f_v = self.proj_v(Tensor(visual))
@@ -388,12 +403,12 @@ class AVMambaNet(Module):
                 stages["amf_mix"] = mix
         if cfg.use_mfe:
             if mix is None:
-                mix = tt.zeros((t, cfg.dim))
+                mix = tt.zeros((*t, cfg.dim))
             f_a, f_v = self.mfe(f_a, f_v, mix)
             stages.update(mfe_out_a=f_a, mfe_out_v=f_v)
         if cfg.use_plsim:
-            ta = Tensor(text_a if text_a is not None else np.zeros((t, cfg.text_dim)))
-            tv = Tensor(text_v if text_v is not None else np.zeros((t, cfg.text_dim)))
+            ta = Tensor(text_a if text_a is not None else np.zeros((*t, cfg.text_dim)))
+            tv = Tensor(text_v if text_v is not None else np.zeros((*t, cfg.text_dim)))
             f_a, f_v = self.plsim(f_a, f_v, ta, tv)
             stages.update(plsim_out_a=f_a, plsim_out_v=f_v)
         g_a, g_v = self.han(f_a, f_v)
@@ -407,43 +422,49 @@ class AVMambaNet(Module):
 BCE_EPS = 1e-7
 
 
-def _bce_mean(prob: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor | None:
-    """Mean binary cross-entropy; ``mask`` marks segment rows that count."""
-    if mask is not None:
-        count = float(mask.sum()) * target.shape[1]
-        if count == 0:
-            return None
-    else:
-        count = float(target.size)
+def _bce_sums(prob: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+    """Per-record sums of binary cross-entropy terms: ``prob`` is ``[B, n]``
+    or ``[B, T, C]``; ``mask`` (``[B, T]``) marks segment rows that count."""
     p = tt.clamp(prob, BCE_EPS, 1.0 - BCE_EPS)
     y = Tensor(target)
     terms = y * tt.log(p) + (1.0 - y) * tt.log(1.0 - p)
     if mask is not None:
-        terms = terms * Tensor(mask[:, None])
-    return tt.tsum(terms) * (-1.0 / count)
+        terms = terms * Tensor(mask[..., None])
+    batch = terms.shape[0]
+    return tt.tsum(tt.reshape(terms, (batch, terms.size // batch)), axis=1)
 
 
 def compute_loss(outputs: ModelOutputs, video_label: np.ndarray,
                  pseudo_a: np.ndarray | None = None, pseudo_v: np.ndarray | None = None,
                  null_a: np.ndarray | None = None, null_v: np.ndarray | None = None,
                  lambda_audio: float = 1.0, lambda_visual: float = 1.0) -> Tensor:
-    """Video-level BCE plus masked segment-level BCE against pseudo-labels.
+    """Video-level BCE plus masked segment-level BCE against pseudo-labels,
+    averaged over the records of a batch.
 
-    Segments flagged unannotated (``null_*`` true) are excluded from the
-    corresponding pseudo term.
+    ``outputs`` is one record's (labels ``[C]``, ``[T, C]``, ``[T]``) or a
+    batch's (labels with a leading ``[B]`` axis). Each record's BCE means are
+    over its own cells: segments flagged unannotated (``null_*`` true) are
+    excluded from the corresponding pseudo term, and a record with no
+    annotated segment has no pseudo term.
     """
-    video_label = check_binary_matrix(video_label, "video label")
-    loss = _bce_mean(tt.reshape(outputs.video_prob, (1, video_label.size)),
-                     video_label.reshape(1, -1))
+    lead, (t, c) = outputs.seg_prob_a.shape[:-2], outputs.seg_prob_a.shape[-2:]
+    batch = int(np.prod(lead))  # 1 for one record
+    video_label = check_binary_matrix(video_label, "video label", (*lead, c))
+    loss = _bce_sums(tt.reshape(outputs.video_prob, (batch, c)),
+                     video_label.reshape(batch, c)) * (-1.0 / c)
     for prob, pseudo, null, weight in (
         (outputs.seg_prob_a, pseudo_a, null_a, lambda_audio),
         (outputs.seg_prob_v, pseudo_v, null_v, lambda_visual),
     ):
         if pseudo is None or weight == 0.0:
             continue
-        pseudo = check_binary_matrix(pseudo, "pseudo label")
-        mask = np.ones(pseudo.shape[0]) if null is None else 1.0 - np.asarray(null, dtype=np.float64)
-        term = _bce_mean(prob, pseudo, mask)
-        if term is not None:
-            loss = loss + term * weight
-    return loss
+        pseudo = check_binary_matrix(pseudo, "pseudo label", (*lead, t, c))
+        keep = (np.ones((batch, t)) if null is None
+                else 1.0 - np.asarray(null, dtype=np.float64).reshape(batch, t))
+        counts = keep.sum(axis=1) * c
+        if not counts.any():
+            continue
+        scale = np.divide(-1.0, counts, out=np.zeros(batch), where=counts > 0)
+        sums = _bce_sums(tt.reshape(prob, (batch, t, c)), pseudo.reshape(batch, t, c), keep)
+        loss = loss + sums * Tensor(scale) * weight
+    return tt.tsum(loss) * (1.0 / batch)

@@ -7,7 +7,9 @@ trains with them. Their oracles, :func:`selective_scan_sequential` and
 :func:`dynamic_mixture_sequential`, compose the same scans step by step from
 primitive autodiff ops. The backward scan reverses the input; the dynamic
 scan soft-mixes every cyclic start position, fused in O(T) on the sequence
-unrolled twice, or composed term by term by its oracle.
+unrolled twice, or composed term by term by its oracle. The scans and the
+block take ``[T, D]`` or ``[B, T, D]``; the fused kernels move time to the
+front and sweep a batch's records together, and the oracles take one record.
 """
 
 from __future__ import annotations
@@ -127,13 +129,13 @@ def linear_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear_scan_adjoint(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reverse sweep ``dh_t = g_t + a_{t+1} dh_{t+1}``: the gradient of
-    :func:`linear_scan`'s input ``b`` given the gradient ``g`` of its output."""
-    dh = np.empty_like(g)
-    dh[-1] = g[-1]
+    :func:`linear_scan`'s input ``b`` given the gradient ``g`` of its output.
+    The sweep runs in place: ``g`` is overwritten with ``dh`` and returned."""
+    step = np.empty_like(g[0])
     for t in range(g.shape[0] - 2, -1, -1):
-        np.multiply(a[t + 1], dh[t + 1], out=dh[t])
-        dh[t] += g[t]
-    return dh
+        np.multiply(a[t + 1], g[t + 1], out=step)
+        g[t] += step
+    return g
 
 
 def _scan_primitive(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
@@ -156,47 +158,64 @@ def _scan_primitive(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
     return y + d_skip * u
 
 
-def _discretize_arrays(u: Tensor, delta: Tensor, b_coef: Tensor, a_log: Tensor):
-    """``(A, A_bar, B_bar u)`` as raw arrays for the fused nodes."""
-    dd = delta.data
+def _time_first(x: np.ndarray, axis: int = -2) -> np.ndarray:
+    """``x`` with its time axis moved to the front, where the scan loops run;
+    the batch axes, if any, follow it."""
+    return np.ascontiguousarray(np.moveaxis(x, axis, 0))
+
+
+def _time_back(x: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Inverse of :func:`_time_first`."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, axis))
+
+
+def _discretize_arrays(ud: np.ndarray, dd: np.ndarray, bd: np.ndarray, a_log: Tensor):
+    """``(A, A_bar, B_bar u)`` for the fused nodes, from time-first
+    ``[T, ..., D]`` arrays of ``u``, ``delta`` and ``B``."""
     a_neg = -np.exp(a_log.data)  # [D, N]
-    da = np.exp(dd[:, :, None] * a_neg[None])  # [T, D, N]
-    bu = (dd * u.data)[:, :, None] * b_coef.data[:, None, :]
+    da = np.exp(dd[..., None] * a_neg)  # [T, ..., D, N]
+    bu = (dd * ud)[..., None] * bd[..., None, :]
     return a_neg, da, bu
 
 
-def _fused_backward(inputs, a_neg: np.ndarray, gy: np.ndarray, h_read: np.ndarray,
-                    skip_w: float, g_z: np.ndarray, g_bu: np.ndarray) -> None:
-    """Chain a fused node's gradients back to ``(u, delta, B, C, a_log, D)``:
-    ``C`` reads out ``h_read``, ``skip_w`` weights ``D u``, and ``g_z`` / ``g_bu``
-    are the gradients w.r.t. the decay exponent ``delta A`` and ``delta B u``."""
+def _fused_backward(inputs, arrays, a_neg: np.ndarray, gy: np.ndarray, h_read: np.ndarray,
+                    skip_w, g_z: np.ndarray, g_bu: np.ndarray) -> None:
+    """Chain a fused node's gradients back to ``inputs`` = ``(u, delta, B, C,
+    a_log, D)``, whose data ``arrays`` holds time-first: ``C`` reads out
+    ``h_read``, ``skip_w`` weights ``D u`` per record, and ``g_z`` / ``g_bu``
+    are the gradients w.r.t. the decay exponent ``delta A`` and ``delta B u``.
+    Parameter gradients are summed over time and the batch."""
     u, delta, b_coef, c_coef, a_log, d_skip = inputs
-    ud, dd = u.data, delta.data
-    dh_b = np.einsum("tdn,tn->td", g_bu, b_coef.data)
-    u._accumulate(dh_b * dd + skip_w * d_skip.data[None, :] * gy)
-    delta._accumulate(np.einsum("tdn,dn->td", g_z, a_neg) + dh_b * ud)
-    b_coef._accumulate(np.einsum("tdn,td->tn", g_bu, dd * ud))
-    c_coef._accumulate(np.einsum("td,tdn->tn", gy, h_read))
-    a_log._accumulate(np.einsum("tdn,td->dn", g_z, dd) * a_neg)
+    ud, dd, bd = arrays
+    dh_b = np.einsum("t...dn,t...n->t...d", g_bu, bd)
+    u._accumulate(_time_back(dh_b * dd + skip_w * d_skip.data[None, :] * gy))
+    delta._accumulate(_time_back(np.einsum("t...dn,dn->t...d", g_z, a_neg) + dh_b * ud))
+    b_coef._accumulate(_time_back(np.einsum("t...dn,t...d->t...n", g_bu, dd * ud)))
+    c_coef._accumulate(_time_back(np.einsum("t...d,t...dn->t...n", gy, h_read)))
+    a_log._accumulate(np.einsum("t...dn,t...d->...dn", g_z, dd) * a_neg)
     d_skip._accumulate(skip_w * (gy * ud).sum(0))
 
 
 def _scan_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
                 a_log: Tensor, d_skip: Tensor) -> Tensor:
-    """Single graph node: fused-kernel forward, hand-derived adjoint backward."""
+    """Single graph node: fused-kernel forward, hand-derived adjoint backward.
+
+    ``u`` and ``delta`` are ``[..., T, D]``, ``B`` and ``C`` ``[..., T, N]``.
+    """
     inputs = (u, delta, b_coef, c_coef, a_log, d_skip)
-    cd = c_coef.data
-    a_neg, da, bu = _discretize_arrays(u, delta, b_coef, a_log)
-    h = linear_scan(da, bu)  # [T, D, N]
-    y = np.einsum("tdn,tn->td", h, cd) + d_skip.data[None, :] * u.data
+    ud, dd, bd, cd = (_time_first(t.data) for t in (u, delta, b_coef, c_coef))
+    a_neg, da, bu = _discretize_arrays(ud, dd, bd, a_log)
+    h = linear_scan(da, bu)  # [T, ..., D, N]
+    y = np.einsum("t...dn,t...n->t...d", h, cd) + d_skip.data[None, :] * ud
 
     def backward(gy):
-        dh = linear_scan_adjoint(da, gy[:, :, None] * cd[:, None, :])
+        gy = _time_first(gy)
+        dh = linear_scan_adjoint(da, gy[..., None] * cd[..., None, :])
         g_z = np.zeros_like(h)  # gradient through the exp argument of the decay
         g_z[1:] = dh[1:] * h[:-1] * da[1:]
-        _fused_backward(inputs, a_neg, gy, h, 1.0, g_z, dh)
+        _fused_backward(inputs, (ud, dd, bd), a_neg, gy, h, 1.0, g_z, dh)
 
-    return tt._make(y, inputs, backward)
+    return tt._make(_time_back(y), inputs, backward)
 
 
 def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
@@ -213,58 +232,76 @@ def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
     with ``H1``, ``H2`` the prefix scans of ``B_bar u`` and ``CP B_bar u`` over
     the 2T steps and ``P_all = exp(sum_t delta_t A)`` the decay over one cycle.
     The output ``C h_dyn + sum(probs) D u`` is linear in ``probs``, like the
-    term-by-term mixture.
+    term-by-term mixture. ``probs`` is ``[..., T]``, one distribution per
+    record, so ``CP``, ``P_all`` and the skip weight are per record too.
     """
     inputs = (u, delta, b_coef, c_coef, a_log, d_skip)
-    ud, dd, cd, pd = u.data, delta.data, c_coef.data, probs.data
+    ud, dd, bd, cd = (_time_first(t.data) for t in (u, delta, b_coef, c_coef))
+    pd = probs.data
     t_len = ud.shape[0]
-    a_neg, da, bu = _discretize_arrays(u, delta, b_coef, a_log)
-    cp = np.cumsum(np.concatenate([pd, pd]))  # [2T]
-    da2 = np.concatenate([da, da])[:, None]  # [2T, 1, D, N]
+    a_neg, da, bu = _discretize_arrays(ud, dd, bd, a_log)
+    cp = _time_first(np.cumsum(np.concatenate([pd, pd], axis=-1), axis=-1), -1)  # [2T, ...]
+    cp4 = cp[..., None, None]
+    da2 = np.concatenate([da, da])[:, None]  # [2T, 1, ..., D, N]
     bu2 = np.concatenate([bu, bu])
-    hs = linear_scan(da2, np.stack([bu2, cp[:, None, None] * bu2], axis=1))  # [2T, 2, D, N]
-    p_all = np.exp(dd.sum(0)[:, None] * a_neg)  # [D, N]
-    w = hs[t_len:] - p_all * hs[:t_len]  # [T, 2, D, N]
-    cp_t = cp[:t_len, None, None]
+    hs = linear_scan(da2, np.stack([bu2, cp4 * bu2], axis=1))  # [2T, 2, ..., D, N]
+    p_all = np.exp(dd.sum(0)[..., None] * a_neg)  # [..., D, N]
+    w = hs[t_len:] - p_all * hs[:t_len]  # [T, 2, ..., D, N]
+    cp_t = cp4[:t_len]
     h_dyn = w[:, 1] - cp_t * w[:, 0]
-    skip_w = pd.sum()
-    y = np.einsum("tdn,tn->td", h_dyn, cd) + skip_w * d_skip.data[None, :] * ud
+    skip_w = pd.sum(-1)[..., None]  # [..., 1]
+    y = np.einsum("t...dn,t...n->t...d", h_dyn, cd) + skip_w * d_skip.data[None, :] * ud
 
     def backward(gy):
-        g_h = gy[:, :, None] * cd[:, None, :]  # [T, D, N]
-        g_w = np.stack([-cp_t * g_h, g_h], axis=1)
-        dhs = linear_scan_adjoint(da2, np.concatenate([-p_all * g_w, g_w]))
+        gy = _time_first(gy)
+        g_h = gy[..., None] * cd[..., None, :]  # [T, ..., D, N]
+        # probs enter through CP (scan input and window weight) and the skip weight
+        g_cp_w = np.einsum("t...dn,t...dn->t...", g_h, w[:, 0])
+        # The adjoint sweep's input [-P_all g_W; g_W] is built in the buffer
+        # the sweep overwrites, and later gradients reuse its halves, so the
+        # transient memory of a batch stays that of its records one by one.
+        dhs = np.empty(hs.shape)
+        g_w = dhs[t_len:]
+        np.multiply(-cp_t, g_h, out=g_w[:, 0])
+        g_w[:, 1] = g_h
+        del g_h
+        g_p_all = p_all * -np.einsum("ts...dn,ts...dn->...dn", g_w, hs[:t_len])
+        np.multiply(-p_all, g_w, out=dhs[:t_len])
+        linear_scan_adjoint(da2, dhs)
         # decay gradients, per step and through P_all (d P_all / d z_t = P_all);
         # a per-step decay is never divided out, as it underflows at large delta
         g_a2 = np.zeros_like(bu2)
-        g_a2[1:] = np.einsum("ksdn,ksdn->kdn", dhs[1:], hs[:-1]) * da2[1:, 0]
+        np.einsum("ks...dn,ks...dn->k...dn", dhs[1:], hs[:-1], out=g_a2[1:])
+        g_a2[1:] *= da2[1:, 0]
         g_z = g_a2[:t_len] + g_a2[t_len:]
-        g_z += p_all * -np.einsum("tsdn,tsdn->dn", g_w, hs[:t_len])
-        g_bu2 = dhs[:, 0] + cp[:, None, None] * dhs[:, 1]
-        # probs enter through CP (scan input and window weight) and the skip weight
-        g_cp = np.einsum("kdn,kdn->k", dhs[:, 1], bu2)
-        g_cp[:t_len] -= np.einsum("tdn,tdn->t", g_h, w[:, 0])
-        g_cp = np.cumsum(g_cp[::-1])[::-1]
-        probs._accumulate(g_cp[:t_len] + g_cp[t_len:]
-                          + (gy * d_skip.data[None, :] * ud).sum())
-        _fused_backward(inputs, a_neg, gy, h_dyn, skip_w,
+        g_z += g_p_all
+        del g_a2
+        g_cp = np.einsum("k...dn,k...dn->k...", dhs[:, 1], bu2)
+        g_cp[:t_len] -= g_cp_w
+        g_cp = np.cumsum(g_cp[::-1], axis=0)[::-1]
+        g_bu2 = dhs[:, 1]  # becomes dhs[:, 0] + CP dhs[:, 1]
+        g_bu2 *= cp4
+        g_bu2 += dhs[:, 0]
+        g_skip = (gy * d_skip.data[None, :] * ud).sum(axis=(0, -1))
+        probs._accumulate(_time_back(g_cp[:t_len] + g_cp[t_len:] + g_skip, -1))
+        _fused_backward(inputs, (ud, dd, bd), a_neg, gy, h_dyn, skip_w,
                         g_z, g_bu2[:t_len] + g_bu2[t_len:])
 
-    return tt._make(y, (u, delta, b_coef, c_coef, probs, a_log, d_skip), backward)
+    return tt._make(_time_back(y), (u, delta, b_coef, c_coef, probs, a_log, d_skip), backward)
 
 
 # -- public scan operations -------------------------------------------------------
 
 
 def _check_scan_input(x: Tensor, params: SsmParams) -> None:
-    if x.data.ndim != 2 or x.shape[1] != params.d_inner:
-        raise ShapeError(f"scan input must be [T, {params.d_inner}], got {x.shape}")
+    if x.data.ndim < 2 or x.shape[-1] != params.d_inner:
+        raise ShapeError(f"scan input must be [..., T, {params.d_inner}], got {x.shape}")
 
 
 def _check_start_distribution(x: Tensor, probs: Tensor) -> None:
-    t_len = x.shape[0]
-    if probs.shape != (t_len,):
-        raise ShapeError(f"start distribution must have shape [{t_len}], got {probs.shape}")
+    if probs.shape != x.shape[:-1]:
+        raise ShapeError(f"start distribution must have shape {list(x.shape[:-1])}, "
+                         f"got {list(probs.shape)}")
 
 
 def selective_scan(x: Tensor, params: SsmParams) -> Tensor:
@@ -274,7 +311,8 @@ def selective_scan(x: Tensor, params: SsmParams) -> Tensor:
 
 
 def selective_scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
-    """Oracle for :func:`selective_scan`, built from primitive ops."""
+    """Oracle for :func:`selective_scan` on one ``[T, D]`` record, built from
+    primitive ops."""
     _check_scan_input(x, params)
     delta, b_coef, c_coef = params.project(x)
     return _scan_primitive(x, delta, b_coef, c_coef, params.a_log, params.d_skip)
@@ -282,19 +320,19 @@ def selective_scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
 
 def selective_scan_backward(x: Tensor, params: SsmParams) -> Tensor:
     """Scan in reversed segment order; output restored to input orientation."""
-    xr = tt.reverse(x, axis=0)
+    xr = tt.reverse(x, axis=-2)
     yr = selective_scan(xr, params)
-    return tt.reverse(yr, axis=0)
+    return tt.reverse(yr, axis=-2)
 
 
 def dynamic_mixture(x: Tensor, params: SsmParams, probs: Tensor) -> Tensor:
     """Soft mixture of forward scans over all cyclic start positions.
 
-    ``probs`` has one weight per start segment; start ``s`` rotates the
-    sequence so segment ``s`` is scanned first, and the scan output is
-    rotated back before weighting. The whole mixture is one O(T) fused node
-    on the sequence unrolled twice; :func:`dynamic_mixture_sequential` is the
-    oracle it is tested against.
+    ``probs`` has one weight per start segment (``[..., T]`` for a
+    ``[..., T, D]`` input); start ``s`` rotates the sequence so segment ``s``
+    is scanned first, and the scan output is rotated back before weighting.
+    The whole mixture is one O(T) fused node on the sequence unrolled twice;
+    :func:`dynamic_mixture_sequential` is the oracle it is tested against.
     """
     _check_start_distribution(x, probs)
     _check_scan_input(x, params)
@@ -303,8 +341,8 @@ def dynamic_mixture(x: Tensor, params: SsmParams, probs: Tensor) -> Tensor:
 
 
 def dynamic_mixture_sequential(x: Tensor, params: SsmParams, probs: Tensor) -> Tensor:
-    """Oracle for :func:`dynamic_mixture`: the rotated sequential scans,
-    weighted and summed term by term."""
+    """Oracle for :func:`dynamic_mixture` on one ``[T, D]`` record: the
+    rotated sequential scans, weighted and summed term by term."""
     _check_start_distribution(x, probs)
     total = None
     for s in range(x.shape[0]):
@@ -316,7 +354,7 @@ def dynamic_mixture_sequential(x: Tensor, params: SsmParams, probs: Tensor) -> T
 
 
 def selective_scan_dynamic(x: Tensor, params: SsmParams, start_logits: Tensor) -> Tensor:
-    probs = tt.softmax(start_logits, axis=0)
+    probs = tt.softmax(start_logits, axis=-1)
     return dynamic_mixture(x, params, probs)
 
 
@@ -330,7 +368,8 @@ def default_dt_rank(d_model: int) -> int:
 class MambaBlock(Module):
     """Norm -> gated dual-branch -> causal depthwise conv -> selective scan.
 
-    Shape-preserving: ``[T, d] -> [T, d]`` with a residual connection. A
+    Shape-preserving: ``[..., T, d] -> [..., T, d]`` with a residual
+    connection. A
     subclass swaps the scan by overriding :meth:`_register_scan` (called
     between the conv and the output projection) and :meth:`_scan`.
     """

@@ -7,7 +7,10 @@ that tests rely on:
 * gradients never accumulate across ``backward`` calls -- a second call that
   reaches an already-populated gradient raises ``ContractError``;
 * max-pooling routes its gradient to the lowest flat index on ties;
-* broadcasting follows numpy's trailing-dimension rules only.
+* broadcasting follows numpy's trailing-dimension rules only;
+* a sequence is ``[..., T, d]``: time is axis -2 and channels axis -1, so an
+  op runs on one ``[T, d]`` record and on a ``[B, T, d]`` batch with the same
+  code, and each record of a batch gets the bits it gets alone.
 
 The closure contract: each op's backward closure is ``backward(g)``, called
 as ``node._backward(node.grad)`` with the gradient of the op's output. A
@@ -279,16 +282,29 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """``np.matmul`` over the last two axes; leading axes broadcast.
+
+    The forward is the stacked call, never a flattened ``[B*T, d]`` gemm,
+    which rounds differently, so each record of a batch gets the bits it gets
+    alone. A 2-D weight's gradient is summed over the batch in one flat gemm.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
+    try:
+        out_data = np.matmul(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"matmul batch axes of {a.shape} and {b.shape} do not broadcast") from None
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.data.ndim == 2:
+            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        else:
+            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return _make(out_data, (a, b), backward)
 
 
 # -- unary elementwise ops ----------------------------------------------------
@@ -426,13 +442,14 @@ def reverse(a: Tensor, axis: int = 0) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose expects rank >= 2, got {a.shape}")
 
     def backward(g):
-        a._accumulate(g.T)
+        a._accumulate(np.swapaxes(g, -1, -2))
 
-    return _make(np.ascontiguousarray(a.data.T), (a,), backward)
+    return _make(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -475,38 +492,39 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-channel causal 1-D convolution over a ``[T, D]`` sequence.
+    """Per-channel causal 1-D convolution along axis -2 of a ``[..., T, D]``
+    sequence.
 
     ``weights`` is ``[k, D]`` with the last row tapping the current step; the
     input is implicitly left-padded with ``k - 1`` zeros so position ``t``
     only sees inputs at or before ``t``.
     """
-    if x.data.ndim != 2 or weights.data.ndim != 2:
-        raise ShapeError(f"conv1d expects [T,D] and [k,D], got {x.shape}, {weights.shape}")
+    if x.data.ndim < 2 or weights.data.ndim != 2:
+        raise ShapeError(f"conv1d expects [..., T, D] and [k, D], got {x.shape}, {weights.shape}")
     k, d = weights.data.shape
     if k < 1:
         raise ConfigError(f"conv1d kernel size must be >= 1, got {k}")
-    if d != x.data.shape[1]:
+    if d != x.data.shape[-1]:
         raise ShapeError(f"conv1d channel mismatch: input {x.shape}, weights {weights.shape}")
-    t_len = x.data.shape[0]
-    padded = np.concatenate([np.zeros((k - 1, d)), x.data], axis=0)
+    t_len = x.data.shape[-2]
+    padded = np.concatenate([np.zeros(x.data.shape[:-2] + (k - 1, d)), x.data], axis=-2)
     out_data = np.zeros_like(x.data)
     for j in range(k):
-        out_data += weights.data[j] * padded[j : j + t_len]
+        out_data += weights.data[j] * padded[..., j : j + t_len, :]
     if bias is not None:
         out_data = out_data + bias.data
 
     def backward(g):
         gpad = np.zeros_like(padded)
         for j in range(k):
-            gpad[j : j + t_len] += weights.data[j] * g
-        x._accumulate(gpad[k - 1 :])
+            gpad[..., j : j + t_len, :] += weights.data[j] * g
+        x._accumulate(gpad[..., k - 1 :, :])
         gw = np.empty_like(weights.data)
         for j in range(k):
-            gw[j] = (padded[j : j + t_len] * g).sum(axis=0)
+            gw[j] = (padded[..., j : j + t_len, :] * g).reshape(-1, d).sum(axis=0)
         weights._accumulate(gw)
         if bias is not None:
-            bias._accumulate(g.sum(axis=0))
+            bias._accumulate(g.reshape(-1, d).sum(axis=0))
 
     parents = (x, weights) if bias is None else (x, weights, bias)
     return _make(out_data, parents, backward)

@@ -220,27 +220,47 @@ def forward_record(net: AVMambaNet, record: VideoRecord, texts: TextCache | None
     return net.forward(record.audio, record.visual, text_a, text_v)
 
 
-def _first_nonfinite(outputs) -> str:
-    """Name of the first stage output, then head output, holding a non-finite value."""
+def forward_records(net: AVMambaNet, records, texts: TextCache | None):
+    """One forward over ``records`` stacked into ``[B, T, d]`` inputs; record
+    ``i`` of the outputs equals ``forward_record`` on it, bit for bit."""
+    text_a = text_v = None
+    if net.config.use_plsim and texts is not None:
+        text_a, text_v = (np.stack(side) for side in zip(*map(texts.get, records)))
+    return net.forward(np.stack([r.audio for r in records]),
+                       np.stack([r.visual for r in records]), text_a, text_v)
+
+
+def _first_nonfinite(outputs) -> tuple[int, str]:
+    """The first record of a batched forward that holds a non-finite value,
+    and the name of its first such stage output, then head output."""
     ordered = {**outputs.stages, "seg_prob_a": outputs.seg_prob_a,
                "seg_prob_v": outputs.seg_prob_v, "video_prob": outputs.video_prob}
-    for name, t in ordered.items():
-        if not np.all(np.isfinite(t.data)):
-            return name
-    return "loss"
+    for i in range(outputs.video_prob.shape[0]):
+        for name, t in ordered.items():
+            if not np.all(np.isfinite(t.data[i])):
+                return i, name
+    return 0, "loss"
 
 
 # -- evaluation ----------------------------------------------------------------------
+
+EVAL_CHUNK = 2  # records per no-grad forward; larger chunks raised peak RSS past 10% at T 32
 
 
 def predict_records(net: AVMambaNet, records, texts: TextCache | None,
                     theta_seg: float = TrainConfig.theta_seg,
                     theta_vid: float = TrainConfig.theta_vid) -> dict[str, SegmentPrediction]:
+    """Binarized predictions, from one forward per chunk of ``EVAL_CHUNK``
+    records and one ``binarize`` per record."""
+    records = list(records)
     preds = {}
     with no_grad():
-        for record in records:
-            outputs = forward_record(net, record, texts)
-            preds[record.video_id] = binarize(outputs, theta_seg, theta_vid, record.video_id)
+        for lo in range(0, len(records), EVAL_CHUNK):
+            chunk = records[lo : lo + EVAL_CHUNK]
+            outputs = forward_records(net, chunk, texts)
+            for i, record in enumerate(chunk):
+                preds[record.video_id] = binarize(outputs.record(i), theta_seg, theta_vid,
+                                                  record.video_id)
     return preds
 
 
@@ -273,6 +293,25 @@ def augmented_records(records, config: TrainConfig) -> list[VideoRecord]:
     return list(records) + batch
 
 
+def _train_step(net: AVMambaNet, optimizer: AdamW, batch, texts: TextCache | None,
+                epoch: int) -> float:
+    """One forward and one backward over ``batch``, then one AdamW step; the
+    batch's graph is freed on return, before the next batch's forward."""
+    outputs = forward_records(net, batch, texts)
+    loss = compute_loss(
+        outputs, *(np.stack([getattr(r, name) for r in batch]) for name in
+                   ("video_label", "pseudo_a", "pseudo_v", "null_a", "null_v")),
+        net.config.lambda_audio, net.config.lambda_visual)
+    if not np.isfinite(loss.data):
+        i, culprit = _first_nonfinite(outputs)
+        raise TrainingError(f"non-finite loss at epoch {epoch}, video {batch[i].video_id}; "
+                            f"first non-finite tensor: {culprit}")
+    loss.backward(params=optimizer.params.values())
+    optimizer.step()
+    optimizer.zero_grad()
+    return loss.item()
+
+
 def train(model_config: ModelConfig, train_records, classes,
           val_records=None, val_gt=None, config: TrainConfig = TrainConfig(),
           checkpoint_path=None, log_path=None) -> tuple[AVMambaNet, TrainLog]:
@@ -296,26 +335,8 @@ def train(model_config: ModelConfig, train_records, classes,
         order = rng.permutation(len(records))
         running = 0.0
         for lo in range(0, len(order), config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            batch_loss = None
-            for idx in batch:
-                record = records[int(idx)]
-                outputs = forward_record(net, record, texts)
-                loss = compute_loss(
-                    outputs, record.video_label, record.pseudo_a, record.pseudo_v,
-                    record.null_a, record.null_v,
-                    model_config.lambda_audio, model_config.lambda_visual)
-                if not np.isfinite(loss.data):
-                    culprit = _first_nonfinite(outputs)
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, video {record.video_id}; "
-                        f"first non-finite tensor: {culprit}")
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            batch_loss = batch_loss * (1.0 / len(batch))
-            batch_loss.backward(params=params.values())
-            optimizer.step()
-            optimizer.zero_grad()
-            running += batch_loss.item() * len(batch)
+            batch = [records[int(idx)] for idx in order[lo : lo + config.batch_size]]
+            running += _train_step(net, optimizer, batch, texts, epoch) * len(batch)
         epoch_loss = running / len(records)
 
         report = None

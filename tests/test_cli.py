@@ -137,6 +137,21 @@ class TestTrainEvalMetrics:
         err = capsys.readouterr().err
         assert "'train'" in err and str(data) in err
 
+    @pytest.mark.parametrize("kind", ["gt", "pseudo"])
+    def test_label_row_for_unlisted_video_exit_one(self, dataset_dir, tmp_path, capsys, kind):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "1",
+                     "--batch-size", "4", "--dim", "12"]) == 0
+        with open(data / f"{kind}_val.csv", "a") as fh:
+            fh.write("ghost,a,0,event00\n")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.mugc"),
+                     "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert f"{kind}_val.csv line" in err and "'ghost'" in err
+
     def test_eval_missing_checkpoint_is_validation_error(self, dataset_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "ghost.mugc"),
                      "--data", str(dataset_dir)])

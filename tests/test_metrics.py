@@ -245,6 +245,13 @@ class TestAggregateReport:
                                       0.1, 0.2, 0.3, 0.2, 0.3)
         assert report.seg_type_at_av == pytest.approx(0.4)
 
+    def test_table_layout(self):
+        report = metrics.MetricReport(*[round(0.0987654 * (i + 1), 7) for i in range(10)])
+        assert report.table() == (
+            "                     A       V      AV  Type@AV  Event@AV\n"
+            "segment-level   0.0988  0.1975  0.2963   0.3951    0.4938\n"
+            "event-level     0.5926  0.6914  0.7901   0.8889    0.9877")
+
     def test_av_consistency_by_construction(self):
         preds, _ = fixture_three_videos()
         for p in preds.values():

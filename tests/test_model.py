@@ -364,6 +364,38 @@ class TestFullModel:
         prefixes = {name.split(".")[0] for name in net.parameters()}
         assert prefixes == {"proj_a", "proj_v", "han", "mmil"}
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"amf_mode": "private"}, {"use_tsa": False, "amf_mode": "off", "use_mfe": False},
+    ], ids=["full", "private", "bare"])
+    def test_batch_equals_records_bit_for_bit(self, rng, overrides):
+        net, cfg = self.make_net(**overrides)
+        inputs = [rng.standard_normal((3, 4, width)) for width in (5, 7, 6, 6)]
+        batched = net.forward(*inputs)
+        for i in range(3):
+            alone = net.forward(*(x[i] for x in inputs))
+            for key in ("seg_prob_a", "seg_prob_v", "video_prob"):
+                assert np.array_equal(getattr(batched, key).data[i], getattr(alone, key).data)
+            for name, stage in alone.stages.items():
+                assert np.array_equal(batched.stages[name].data[i], stage.data), name
+
+    def test_desk_scale_batch_equals_records_bit_for_bit(self, rng):
+        cfg = ModelConfig()
+        net = AVMambaNet(cfg, seed=1)
+        audio = rng.standard_normal((2, cfg.n_segments, cfg.d_audio_in))
+        visual = rng.standard_normal((2, cfg.n_segments, cfg.d_visual_in))
+        batched = net.forward(audio, visual)
+        for i in range(2):
+            alone = net.forward(audio[i], visual[i])
+            assert np.array_equal(batched.seg_prob_a.data[i], alone.seg_prob_a.data)
+            assert np.array_equal(batched.video_prob.data[i], alone.video_prob.data)
+
+    def test_batch_shapes_checked(self, rng):
+        net, _ = self.make_net()
+        with pytest.raises(ShapeError, match="visual features"):
+            net.forward(rng.standard_normal((2, 4, 5)), rng.standard_normal((3, 4, 7)))
+        with pytest.raises(ShapeError, match="audio features"):
+            net.forward(rng.standard_normal((1, 2, 4, 5)), rng.standard_normal((1, 2, 4, 7)))
+
     def test_paper_scale_parameter_count_band(self):
         net = AVMambaNet(ModelConfig.paper_scale(), seed=0)
         count = net.parameter_count()
@@ -439,6 +471,60 @@ class TestLoss:
         out = self.make_outputs(rng)
         with pytest.raises(ContractError):
             compute_loss(out, np.array([0.5, 0.0, 1.0]))
+
+    def test_batch_is_mean_of_records(self, rng):
+        b, t, c = 3, 4, 3
+        logits = [rng.standard_normal(shape) for shape in ((b, t, c), (b, t, c), (b, c))]
+        video_label = (rng.random((b, c)) < 0.4).astype(float)
+        pseudo_a, pseudo_v = ((rng.random((b, t, c)) < 0.4).astype(float) for _ in range(2))
+        null_a = rng.random((b, t)) < 0.3
+        null_a[1] = True  # a record with no annotated audio segment
+        pseudo_a[null_a] = 0.0
+        labels = (video_label, pseudo_a, pseudo_v, null_a, np.zeros((b, t), dtype=bool))
+
+        def loss_of(xs, labels):
+            return compute_loss(ModelOutputs(*(tt.sigmoid(x) for x in xs)), *labels,
+                                lambda_audio=0.7, lambda_visual=1.3)
+
+        xs = [Tensor(x, requires_grad=True) for x in logits]
+        batched = loss_of(xs, labels)
+        batched.backward()
+        per_record = []
+        for i in range(b):
+            xi = [Tensor(x[i], requires_grad=True) for x in logits]
+            loss = loss_of(xi, [a[i] for a in labels])
+            (loss * (1.0 / b)).backward(params=xi)  # an all-null record has no seg-a term
+            per_record.append(loss.item())
+            for x, x_alone in zip(xs, xi):
+                np.testing.assert_allclose(x.grad[i], x_alone.grad, rtol=0, atol=1e-12)
+        assert batched.item() == pytest.approx(np.mean(per_record), abs=1e-12)
+
+    def test_batch_parameter_gradients_are_mean_of_records(self, rng):
+        cfg = ModelConfig(n_segments=4, dim=8, n_classes=3, d_state=4,
+                          d_audio_in=5, d_visual_in=7, text_dim=6)
+        net = AVMambaNet(cfg, seed=2)
+        params = net.parameters()
+        audio, visual = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 7))
+        video_label = (rng.random((3, 3)) < 0.5).astype(float)
+        pseudo = (rng.random((3, 4, 3)) < 0.3).astype(float)
+        null = np.zeros((3, 4), dtype=bool)
+        null[2] = True  # a record with no annotated segment
+        pseudo[2] = 0.0
+        args = (video_label, pseudo, pseudo, null, null)
+        batched = compute_loss(net.forward(audio, visual), *args)
+        batched.backward(params=params.values())
+        grads = {name: p.grad.copy() for name, p in params.items()}
+        net.reset_grads()
+        mean = 0.0
+        for i in range(3):
+            loss = compute_loss(net.forward(audio[i], visual[i]), *(a[i] for a in args)) * (1 / 3)
+            loss.backward(params=params.values())
+            mean += loss.item()
+            for name, p in params.items():
+                grads[name] -= p.grad
+            net.reset_grads()
+        assert batched.item() == pytest.approx(mean, abs=1e-12)
+        assert max(np.abs(g).max() for g in grads.values()) < 1e-12
 
     def test_gradient_flows(self, rng):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)

@@ -5,8 +5,9 @@ import pytest
 
 from avparse import ssm
 from avparse import tensor as tt
-from avparse.errors import ContractError
+from avparse.errors import ContractError, ShapeError
 from avparse.tensor import Tensor
+from tests.batching import check_batch_matches_records
 
 
 @pytest.fixture
@@ -221,6 +222,42 @@ class TestDynamicScan:
             ys = ssm.selective_scan_sequential(xs, params).data
             expected += probs[s] * np.roll(ys, s, axis=0)
         assert np.abs(y - expected).max() < 1e-12
+
+
+class TestBatchAxis:
+    T_LEN, D_INNER, N_STATE = 7, 3, 4
+
+    def scan_inputs(self, rng, batch):
+        """Batched (u, delta, B, C) and shared (a_log, D) arrays."""
+        shape = (batch, self.T_LEN)
+        batched = [rng.standard_normal((*shape, self.D_INNER)),
+                   rng.uniform(0.05, 0.8, (*shape, self.D_INNER)),
+                   rng.standard_normal((*shape, self.N_STATE)),
+                   rng.standard_normal((*shape, self.N_STATE))]
+        shared = [rng.uniform(-1.0, 1.0, (self.D_INNER, self.N_STATE)),
+                  rng.standard_normal(self.D_INNER)]
+        return batched, shared
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_fused_scan_batch_equals_records(self, batch):
+        rng = np.random.default_rng(12)
+        batched, shared = self.scan_inputs(rng, batch)
+        check_batch_matches_records(ssm._scan_fused, batched, shared, rng)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_fused_dynamic_batch_equals_records(self, batch):
+        rng = np.random.default_rng(13)
+        batched, shared = self.scan_inputs(rng, batch)
+        probs = rng.random((batch, self.T_LEN)) + 0.1
+        probs[0] = np.eye(self.T_LEN)[2]  # one record starts at one segment
+        probs /= probs.sum(axis=1, keepdims=True)
+        check_batch_matches_records(ssm._dyn_fused, [*batched, probs], shared, rng)
+
+    def test_start_distribution_is_per_record(self, rng):
+        params = make_params(rng, d_inner=3)
+        x = Tensor(rng.standard_normal((2, 5, 3)))
+        with pytest.raises(ShapeError, match="start distribution"):
+            ssm.dynamic_mixture(x, params, Tensor(np.full(5, 0.2)))
 
 
 class TestStabilityAndCausality:

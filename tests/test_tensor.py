@@ -14,6 +14,7 @@ from avparse.errors import ConfigError, ContractError, ShapeError
 from avparse.model import AVMambaNet, ModelConfig, compute_loss
 from avparse.tensor import AdamW, Tensor
 from avparse.trainer import TextCache, forward_record
+from tests.batching import check_batch_matches_records
 
 
 def fd_scalar(fn, tensor, index, h=1e-5):
@@ -222,6 +223,39 @@ class TestConv1d:
     def test_bad_kernel(self):
         with pytest.raises(ConfigError):
             tt.conv1d_depthwise(Tensor(np.ones((3, 2))), Tensor(np.ones((0, 2))))
+
+
+# name -> (op, shapes of its batched inputs without the batch axis, shapes of
+# its shared inputs); the op takes the batched inputs first
+BATCH_OPS = {
+    "matmul": (tt.matmul, [(5, 4)], [(4, 3)]),
+    "matmul batched operands": (tt.matmul, [(5, 4), (4, 3)], []),
+    "transpose": (tt.transpose, [(5, 4)], []),
+    "conv1d_depthwise": (tt.conv1d_depthwise, [(6, 3)], [(4, 3), (3,)]),
+    "pool avg time": (lambda x: tt.pool(x, -2, "avg"), [(5, 4)], []),
+    "pool max time": (lambda x: tt.pool(x, -2, "max"), [(5, 4)], []),
+    "pool avg channels": (lambda x: tt.pool(x, -1, "avg"), [(5, 4)], []),
+    "pool max channels": (lambda x: tt.pool(x, -1, "max"), [(5, 4)], []),
+    "softmax time": (lambda x: tt.softmax(x, axis=-2), [(5, 4)], []),
+    "softmax channels": (lambda x: tt.softmax(x, axis=-1), [(5, 4)], []),
+    "concat time": (lambda a, b: tt.concat([a, b], axis=-2), [(2, 3), (4, 3)], []),
+    "concat channels": (lambda a, b: tt.concat([a, b], axis=-1), [(4, 2), (4, 3)], []),
+}
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("name", list(BATCH_OPS))
+    def test_batch_equals_records(self, name, batch):
+        rng = np.random.default_rng(11)
+        fn, batched, shared = BATCH_OPS[name]
+        check_batch_matches_records(
+            fn, [rng.standard_normal((batch, *shape)) for shape in batched],
+            [rng.standard_normal(shape) for shape in shared], rng)
+
+    def test_matmul_batch_axes_must_broadcast(self):
+        with pytest.raises(ShapeError, match="batch axes"):
+            tt.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
 
 
 class TestBackward:
