@@ -14,7 +14,7 @@ from . import ssm
 from . import tensor as tt
 from .errors import ConfigError
 from .layers import LayerNorm, Linear
-from .model import AVMambaNet, ModelConfig, compute_loss
+from .model import AVMambaNet, ModelConfig, _bce_sums, compute_loss
 from .tensor import Tensor
 
 
@@ -208,6 +208,31 @@ def _scan_cases(rng: np.random.Generator):
     return cases
 
 
+def _fused_cases(rng: np.random.Generator):
+    """The fused nodes on a batched ``[B, T, d]`` input, and the BCE node
+    with a partial null mask."""
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
+    gain = Tensor(rng.standard_normal(4), requires_grad=True)
+    shift = Tensor(rng.standard_normal(4), requires_grad=True)
+    r5 = rng.standard_normal((2, 3, 5))
+    r4 = rng.standard_normal((2, 3, 4))
+    prob = Tensor(rng.uniform(0.05, 0.95, (2, 3, 4)), requires_grad=True)
+    target = (rng.random((2, 3, 4)) < 0.5).astype(np.float64)
+    keep = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    r2 = rng.standard_normal(2)
+    return [
+        ("affine batched", lambda: _loss_through(tt.affine(x, w, b), r5), [x, w, b]),
+        ("layernorm batched",
+         lambda: _loss_through(tt.layernorm(x, gain, shift, 1e-5), r4), [x, gain, shift]),
+        ("softmax batched time", lambda: _loss_through(tt.softmax(x, axis=-2), r4), [x]),
+        ("softmax batched channels", lambda: _loss_through(tt.softmax(x, axis=-1), r4), [x]),
+        ("bce_sums with null mask",
+         lambda: _loss_through(_bce_sums(prob, target, keep), r2), [prob]),
+    ]
+
+
 def tiny_model_config() -> ModelConfig:
     return ModelConfig(n_segments=4, dim=8, n_classes=3, d_state=4,
                        d_audio_in=5, d_visual_in=7, text_dim=6)
@@ -224,7 +249,10 @@ def run_grad_checks(seed: int = 0, include_model: bool = True) -> list[CheckResu
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     results = []
-    for name, fn, wrt in _op_cases(rng) + _scan_cases(rng):
+    # the fused-node cases draw from their own generator, so the other
+    # cases keep their inputs
+    cases = _op_cases(rng) + _scan_cases(rng) + _fused_cases(np.random.default_rng([seed, 1]))
+    for name, fn, wrt in cases:
         max_rel, ok = fd_check(fn, wrt, rtol=1e-4)
         results.append(CheckResult(f"grad {name}", max_rel, 1e-4, ok, "max rel err"))
     if include_model:

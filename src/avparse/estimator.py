@@ -15,9 +15,8 @@ from .data import check_records, default_classes
 from .errors import ConfigError, ContractError, ShapeError
 from .metrics import aggregate_report
 from .model import ModelConfig
-from .tensor import no_grad
-from .trainer import (TextCache, TrainConfig, ablated_configs, forward_record,
-                      predict_records, save_model, train)
+from .trainer import (TextCache, TrainConfig, ablated_configs, predict_records,
+                      record_outputs, save_model, train)
 
 
 def check_fitted(estimator, attribute: str) -> None:
@@ -128,17 +127,9 @@ class AVMambaParser(_ParamsMixin):
         """Raw probabilities per record: seg_prob_a, seg_prob_v, video_prob."""
         check_fitted(self, "net_")
         records = check_records(records)
-        texts = self._texts()
-        out = []
-        with no_grad():
-            for record in records:
-                outputs = forward_record(self.net_, record, texts)
-                out.append({
-                    "seg_prob_a": outputs.seg_prob_a.data.copy(),
-                    "seg_prob_v": outputs.seg_prob_v.data.copy(),
-                    "video_prob": outputs.video_prob.data.copy(),
-                })
-        return out
+        return [{key: getattr(outputs, key).data.copy()
+                 for key in ("seg_prob_a", "seg_prob_v", "video_prob")}
+                for outputs in record_outputs(self.net_, records, self._texts())]
 
     def score(self, records, gt) -> float:
         """Segment-level Type@AV against ``gt[video_id] = (gt_a, gt_v)``."""

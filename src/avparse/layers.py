@@ -55,7 +55,7 @@ class Linear(Module):
         self.b = self._register("b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return tt.matmul(x, self.w) + self.b
+        return tt.affine(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -68,11 +68,7 @@ class LayerNorm(Module):
         self.b = self._register("b", np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = tt.pow_const(var + tt.full(var.shape, self.eps), -0.5)
-        return centered * inv * self.g + self.b
+        return tt.layernorm(x, self.g, self.b, self.eps)
 
 
 class MLP(Module):

@@ -13,6 +13,7 @@ ablation studies.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -85,12 +86,18 @@ class ModelOutputs:
 # -- text stub -----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def text_vector(prefix: str, category: str, text_dim: int) -> np.ndarray:
-    """Deterministic unit-norm embedding of one (prefix, category) caption."""
+    """Deterministic unit-norm embedding of one (prefix, category) caption.
+
+    Memoized: every caller gets the same read-only array.
+    """
     digest = hashlib.sha256(f"{prefix} {category}".encode("utf-8")).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     v = rng.standard_normal(text_dim)
-    return v / np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def embed_label_sets(label_sets, modality: str, vocabulary, text_dim: int) -> np.ndarray:
@@ -168,7 +175,7 @@ class FusionStream(MambaBlock):
     def _scan(self, xc: Tensor) -> Tensor:
         y_fwd = selective_scan(xc, self.ssm_fwd)
         y_bwd = selective_scan_backward(xc, self.ssm_bwd)
-        logits = tt.reshape(tt.matmul(xc, self.w_start) + self.b_start, xc.shape[:-1])
+        logits = tt.reshape(tt.affine(xc, self.w_start, self.b_start), xc.shape[:-1])
         y_dyn = selective_scan_dynamic(xc, self.ssm_dyn, logits)
         return y_fwd + y_bwd + y_dyn
 
@@ -423,15 +430,29 @@ BCE_EPS = 1e-7
 
 
 def _bce_sums(prob: Tensor, target: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
-    """Per-record sums of binary cross-entropy terms: ``prob`` is ``[B, n]``
-    or ``[B, T, C]``; ``mask`` (``[B, T]``) marks segment rows that count."""
-    p = tt.clamp(prob, BCE_EPS, 1.0 - BCE_EPS)
-    y = Tensor(target)
-    terms = y * tt.log(p) + (1.0 - y) * tt.log(1.0 - p)
-    if mask is not None:
-        terms = terms * Tensor(mask[..., None])
+    """Per-record sums of binary cross-entropy terms, as one node: ``prob``
+    is ``[B, n]`` or ``[B, T, C]``; ``mask`` (``[B, T]``) marks segment rows
+    that count. Probabilities are clamped to ``[BCE_EPS, 1 - BCE_EPS]``,
+    and no gradient flows through a clamped entry."""
+    lo, hi = BCE_EPS, 1.0 - BCE_EPS
+    p = np.clip(prob.data, lo, hi)
+    y = np.asarray(target, dtype=np.float64)
+    not_y, not_p = 1.0 - y, 1.0 - p
+    weight = None if mask is None else np.asarray(mask, dtype=np.float64)[..., None]
+    terms = y * np.log(p) + not_y * np.log(not_p)
+    if weight is not None:
+        terms = terms * weight
     batch = terms.shape[0]
-    return tt.tsum(tt.reshape(terms, (batch, terms.size // batch)), axis=1)
+
+    def backward(g):
+        gp = y / p - not_y / not_p
+        gp *= g.reshape((batch,) + (1,) * (gp.ndim - 1))
+        if weight is not None:
+            gp *= weight
+        gp *= (prob.data > lo) & (prob.data < hi)
+        prob._accumulate(gp, owned=True)
+
+    return tt._make(terms.reshape(batch, -1).sum(axis=1), (prob,), backward)
 
 
 def compute_loss(outputs: ModelOutputs, video_label: np.ndarray,

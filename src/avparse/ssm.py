@@ -160,13 +160,14 @@ def _scan_primitive(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
 
 def _time_first(x: np.ndarray, axis: int = -2) -> np.ndarray:
     """``x`` with its time axis moved to the front, where the scan loops run;
-    the batch axes, if any, follow it."""
-    return np.ascontiguousarray(np.moveaxis(x, axis, 0))
+    the batch axis, if any, follows it. The kernels see at most one batch
+    axis, so time is axis 0 or 1 and the move is one swap."""
+    if x.ndim + axis == 1:
+        x = np.swapaxes(x, 0, 1)
+    return np.ascontiguousarray(x)
 
 
-def _time_back(x: np.ndarray, axis: int = -2) -> np.ndarray:
-    """Inverse of :func:`_time_first`."""
-    return np.ascontiguousarray(np.moveaxis(x, 0, axis))
+_time_back = _time_first  # inverse of _time_first: the swap undoes itself
 
 
 def _discretize_arrays(ud: np.ndarray, dd: np.ndarray, bd: np.ndarray, a_log: Tensor):
@@ -187,13 +188,15 @@ def _fused_backward(inputs, arrays, a_neg: np.ndarray, gy: np.ndarray, h_read: n
     Parameter gradients are summed over time and the batch."""
     u, delta, b_coef, c_coef, a_log, d_skip = inputs
     ud, dd, bd = arrays
-    dh_b = np.einsum("t...dn,t...n->t...d", g_bu, bd)
-    u._accumulate(_time_back(dh_b * dd + skip_w * d_skip.data[None, :] * gy))
-    delta._accumulate(_time_back(np.einsum("t...dn,dn->t...d", g_z, a_neg) + dh_b * ud))
-    b_coef._accumulate(_time_back(np.einsum("t...dn,t...d->t...n", g_bu, dd * ud)))
-    c_coef._accumulate(_time_back(np.einsum("t...d,t...dn->t...n", gy, h_read)))
-    a_log._accumulate(np.einsum("t...dn,t...d->...dn", g_z, dd) * a_neg)
-    d_skip._accumulate(skip_w * (gy * ud).sum(0))
+    dh_b = np.matmul(g_bu, bd[..., None])[..., 0]
+    u._accumulate(_time_back(dh_b * dd + skip_w * d_skip.data[None, :] * gy), owned=True)
+    delta._accumulate(_time_back(np.einsum("t...dn,dn->t...d", g_z, a_neg) + dh_b * ud),
+                      owned=True)
+    b_coef._accumulate(_time_back(np.matmul((dd * ud)[..., None, :], g_bu)[..., 0, :]),
+                       owned=True)
+    c_coef._accumulate(_time_back(np.matmul(gy[..., None, :], h_read)[..., 0, :]), owned=True)
+    a_log._accumulate(np.einsum("t...dn,t...d->...dn", g_z, dd) * a_neg, owned=True)
+    d_skip._accumulate(skip_w * (gy * ud).sum(0), owned=True)
 
 
 def _scan_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
@@ -283,7 +286,7 @@ def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
         g_bu2 *= cp4
         g_bu2 += dhs[:, 0]
         g_skip = (gy * d_skip.data[None, :] * ud).sum(axis=(0, -1))
-        probs._accumulate(_time_back(g_cp[:t_len] + g_cp[t_len:] + g_skip, -1))
+        probs._accumulate(_time_back(g_cp[:t_len] + g_cp[t_len:] + g_skip, -1), owned=True)
         _fused_backward(inputs, (ud, dd, bd), a_neg, gy, h_dyn, skip_w,
                         g_z, g_bu2[:t_len] + g_bu2[t_len:])
 
@@ -294,8 +297,9 @@ def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
 
 
 def _check_scan_input(x: Tensor, params: SsmParams) -> None:
-    if x.data.ndim < 2 or x.shape[-1] != params.d_inner:
-        raise ShapeError(f"scan input must be [..., T, {params.d_inner}], got {x.shape}")
+    if x.data.ndim not in (2, 3) or x.shape[-1] != params.d_inner:
+        raise ShapeError(f"scan input must be [T, {params.d_inner}] or "
+                         f"[B, T, {params.d_inner}], got {x.shape}")
 
 
 def _check_start_distribution(x: Tensor, probs: Tensor) -> None:
@@ -404,4 +408,4 @@ class MambaBlock(Module):
         xm = tt.matmul(u, self.w_in_x)
         z = tt.matmul(u, self.w_in_z)
         xc = tt.silu(tt.conv1d_depthwise(xm, self.conv_w, self.conv_b))
-        return tt.matmul(self._scan(xc) * tt.silu(z), self.w_out) + self.b_out + x
+        return tt.affine(self._scan(xc) * tt.silu(z), self.w_out, self.b_out) + x

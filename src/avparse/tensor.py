@@ -18,6 +18,14 @@ closure captures the op's inputs and whatever arrays it needs, never the
 output tensor itself, so a graph holds no reference cycle and is freed by
 reference counting as soon as its root is dropped.
 
+The ownership rule: a closure hands each input its gradient through
+``_accumulate(g, owned)``. ``owned=True`` says the op made ``g`` itself and
+keeps no other reference to it, so the first gradient to reach a tensor is
+taken as its ``grad`` without a copy; an op that passes its own ``g`` or a
+view of it leaves ``owned`` false and the array is copied. So no two
+tensors' gradients share memory, and ``grad +=`` never writes into an
+array something else holds.
+
 Inside ``with no_grad():`` ops record no graph: their outputs have
 ``requires_grad=False``, no parents and no closure. Evaluation runs under it.
 """
@@ -77,14 +85,20 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
-    def _accumulate(self, g: Array) -> None:
+    def _accumulate(self, g: Array, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``; see the ownership rule in the module
+        docstring."""
         if not self.requires_grad:
             return
-        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = np.array(g)  # copy: g may alias another tensor's grad
-        else:
+        if g.shape != self.data.shape:
+            g = _unbroadcast(g, self.data.shape)
+            owned = True  # the broadcast axes were summed into a new array
+        if self.grad is not None:
             self.grad += g
+        elif owned:
+            self.grad = g
+        else:
+            self.grad = np.array(g)
 
     def reset_grad(self) -> None:
         self.grad = None
@@ -99,7 +113,7 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {self.shape}")
         topo = graph_tensors(self, fresh=True)
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), owned=True)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -260,23 +274,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(g)
-        b._accumulate(-g)
+        b._accumulate(-g, owned=True)
 
     return _make(_broadcast(np.subtract, a, b), (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
+        a._accumulate(g * b.data, owned=True)
+        b._accumulate(g * a.data, owned=True)
 
     return _make(_broadcast(np.multiply, a, b), (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        a._accumulate(g / b.data)
-        b._accumulate(-g * a.data / (b.data * b.data))
+        a._accumulate(g / b.data, owned=True)
+        b._accumulate(-g * a.data / (b.data * b.data), owned=True)
 
     return _make(_broadcast(np.divide, a, b), (a, b), backward)
 
@@ -288,23 +302,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     which rounds differently, so each record of a batch gets the bits it gets
     alone. A 2-D weight's gradient is summed over the batch in one flat gemm.
     """
+
+    def backward(g):
+        _matmul_backward(a, b, g)
+
+    return _make(_matmul_data(a, b), (a, b), backward)
+
+
+def _matmul_data(a: Tensor, b: Tensor) -> Array:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
     try:
-        out_data = np.matmul(a.data, b.data)
+        return np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul batch axes of {a.shape} and {b.shape} do not broadcast") from None
 
-    def backward(g):
-        a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.data.ndim == 2:
-            b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        else:
-            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    return _make(out_data, (a, b), backward)
+def _matmul_backward(a: Tensor, b: Tensor, g: Array) -> None:
+    a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
+    if b.data.ndim == 2:
+        b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+                      owned=True)
+    else:
+        b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g), owned=True)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: the forward of ``matmul`` then ``add``, and
+    their backward."""
+    out_data = _matmul_data(x, w)
+    try:
+        out_data += b.data
+    except ValueError:
+        raise ShapeError(f"bias {b.shape} does not broadcast to {out_data.shape}") from None
+
+    def backward(g):
+        _matmul_backward(x, w, g)
+        b._accumulate(g)
+
+    return _make(out_data, (x, w, b), backward)
 
 
 # -- unary elementwise ops ----------------------------------------------------
@@ -312,7 +350,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _unary(a: Tensor, out_data: Array, grad_fn) -> Tensor:
     def backward(g):
-        a._accumulate(g * grad_fn())
+        a._accumulate(g * grad_fn(), owned=True)
 
     return _make(out_data, (a,), backward)
 
@@ -399,7 +437,7 @@ def pool(a: Tensor, axis: int, kind: str) -> Tensor:
         def backward(g):
             routed = np.zeros_like(a.data)
             np.put_along_axis(routed, np.expand_dims(argmax, axis), g, axis)
-            a._accumulate(routed)
+            a._accumulate(routed, owned=True)
 
     else:
         raise ConfigError(f"unknown pool kind {kind!r}")
@@ -467,7 +505,7 @@ def rotate(a: Tensor, axis: int = 0, offset: int = 0) -> Tensor:
     """Cyclic left rotation: element ``i`` of the output is input ``i+offset``."""
 
     def backward(g):
-        a._accumulate(np.roll(g, offset, axis=axis))
+        a._accumulate(np.roll(g, offset, axis=axis), owned=True)
 
     return _make(np.roll(a.data, -offset, axis=axis), (a,), backward)
 
@@ -483,7 +521,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     def backward(g):
         full_g = np.zeros_like(a.data)
         full_g[idx] = g
-        a._accumulate(full_g)
+        a._accumulate(full_g, owned=True)
 
     return _make(a.data[idx].copy(), (a,), backward)
 
@@ -518,13 +556,13 @@ def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> 
         gpad = np.zeros_like(padded)
         for j in range(k):
             gpad[..., j : j + t_len, :] += weights.data[j] * g
-        x._accumulate(gpad[..., k - 1 :, :])
+        x._accumulate(gpad[..., k - 1 :, :], owned=True)
         gw = np.empty_like(weights.data)
         for j in range(k):
             gw[j] = (padded[..., j : j + t_len, :] * g).reshape(-1, d).sum(axis=0)
-        weights._accumulate(gw)
+        weights._accumulate(gw, owned=True)
         if bias is not None:
-            bias._accumulate(g.reshape(-1, d).sum(axis=0))
+            bias._accumulate(g.reshape(-1, d).sum(axis=0), owned=True)
 
     parents = (x, weights) if bias is None else (x, weights, bias)
     return _make(out_data, parents, backward)
@@ -534,10 +572,40 @@ def conv1d_depthwise(x: Tensor, weights: Tensor, bias: Tensor | None = None) -> 
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax built from primitive ops."""
-    shifted = sub(a, pool(a, axis=axis, kind="max"))
-    e = exp(shifted)
-    return div(e, tsum(e, axis=axis % a.data.ndim, keepdims=True))
+    """Numerically stable softmax along ``axis``, one node with the backward
+    ``s * (g - sum(g * s))``."""
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        gs = g * s
+        gs -= s * gs.sum(axis=axis, keepdims=True)
+        a._accumulate(gs, owned=True)
+
+    return _make(s, (a,), backward)
+
+
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by ``gain`` and shift by
+    ``bias``: one node with the closed-form backward."""
+    n = x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n) + eps) ** -0.5
+    xhat = centered * inv
+    out_data = xhat * gain.data
+    out_data += bias.data
+
+    def backward(g):
+        gain._accumulate(g * xhat, owned=True)
+        bias._accumulate(g)
+        gx = g * gain.data
+        mean_gx = (gx * xhat).sum(axis=-1, keepdims=True) * (1.0 / n)
+        gx -= gx.sum(axis=-1, keepdims=True) * (1.0 / n)
+        gx -= xhat * mean_gx
+        gx *= inv
+        x._accumulate(gx, owned=True)
+
+    return _make(out_data, (x, gain, bias), backward)
 
 
 def reset_grads(tensors) -> None:
@@ -578,9 +646,20 @@ def graph_tensors(root: Tensor, fresh: bool = False) -> list[Tensor]:
 
 # -- AdamW ---------------------------------------------------------------------
 
+# Elements per AdamW update block: the block's slices of the parameters, m, v,
+# gradients and two scratch arrays (6 x 128 KiB) stay in a core's L2 cache.
+ADAMW_BLOCK = 16384
+
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter collection."""
+    """Decoupled-weight-decay Adam over a named parameter collection.
+
+    The optimizer owns one float64 ``buffer`` holding every parameter, in
+    ``params`` order (the checkpoint order), and rebinds each parameter's
+    ``data`` to its view of it; ``m`` and ``v`` are flat too. Code that
+    changes a parameter afterwards writes into ``data``; rebinding it would
+    detach the parameter from the optimizer.
+    """
 
     def __init__(self, params, lr: float = 3e-4, betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.01):
@@ -592,8 +671,28 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        size = sum(p.data.size for p in self.params.values())
+        self.buffer = np.empty(size)
+        # per block: (lo, hi, pieces), each piece (param index, slice of its
+        # flat gradient, slice of the block); a one-piece block reads the
+        # gradient in place, a longer one gathers it into scratch
+        self._blocks = []
+        offset = 0
+        for i, p in enumerate(self.params.values()):
+            n = p.data.size
+            view = self.buffer[offset : offset + n].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            for lo in range(offset - offset % ADAMW_BLOCK, offset + n, ADAMW_BLOCK):
+                if lo == len(self._blocks) * ADAMW_BLOCK:
+                    self._blocks.append((lo, min(lo + ADAMW_BLOCK, size), []))
+                start, end = max(lo, offset), min(lo + ADAMW_BLOCK, offset + n)
+                self._blocks[-1][2].append(
+                    (i, slice(start - offset, end - offset), slice(start - lo, end - lo)))
+            offset += n
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = np.empty((3, min(size, ADAMW_BLOCK)))
 
     def step(self) -> None:
         for name, p in self.params.items():
@@ -603,16 +702,37 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= self.lr * (update + self.weight_decay * p.data)
+        b1, b2, lr, wd = self.beta1, self.beta2, self.lr, self.weight_decay
+        grads = [p.grad.reshape(-1) for p in self.params.values()]
+        for lo, hi, pieces in self._blocks:
+            n = hi - lo
+            gather, t1, t2 = (s[:n] for s in self._scratch)
+            if len(pieces) == 1:
+                i, src, _ = pieces[0]
+                g = grads[i][src]
+            else:
+                for i, src, dst in pieces:
+                    gather[dst] = grads[i][src]
+                g = gather
+            m, v, w = self._m[lo:hi], self._v[lo:hi], self.buffer[lo:hi]
+            # the per-tensor AdamW expressions in their order, as out= ufuncs,
+            # so every element gets the bits a per-tensor loop gives it
+            m *= b1
+            np.multiply(1.0 - b1, g, out=t1)
+            m += t1
+            v *= b2
+            np.multiply(1.0 - b2, g, out=t1)
+            t1 *= g
+            v += t1
+            np.divide(v, bc2, out=t1)
+            np.sqrt(t1, out=t1)
+            t1 += self.eps
+            np.divide(m, bc1, out=t2)
+            np.divide(t2, t1, out=t2)  # the update
+            np.multiply(wd, w, out=t1)
+            np.add(t2, t1, out=t1)
+            np.multiply(lr, t1, out=t1)
+            w -= t1
 
     def zero_grad(self) -> None:
         reset_grads(self.params.values())

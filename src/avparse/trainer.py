@@ -17,7 +17,7 @@ from .errors import (NON_NEGATIVE, OPEN_UNIT_INTERVAL, POSITIVE, UNIT_INTERVAL, 
                      ConfigError, EvaluationError, ParseError, TrainingError, check_fields)
 from .metrics import (REPORT_COLUMNS, THETA, MetricReport, SegmentPrediction, aggregate_report,
                       binarize)
-from .model import (AMF_MODES, AVMambaNet, ModelConfig, compute_loss,
+from .model import (AMF_MODES, AVMambaNet, ModelConfig, ModelOutputs, compute_loss,
                     embed_pseudo_matrix)
 from .tensor import AdamW, no_grad
 
@@ -247,21 +247,26 @@ def _first_nonfinite(outputs) -> tuple[int, str]:
 EVAL_CHUNK = 2  # records per no-grad forward; larger chunks raised peak RSS past 10% at T 32
 
 
-def predict_records(net: AVMambaNet, records, texts: TextCache | None,
-                    theta_seg: float = TrainConfig.theta_seg,
-                    theta_vid: float = TrainConfig.theta_vid) -> dict[str, SegmentPrediction]:
-    """Binarized predictions, from one forward per chunk of ``EVAL_CHUNK``
-    records and one ``binarize`` per record."""
-    records = list(records)
-    preds = {}
+def record_outputs(net: AVMambaNet, records, texts: TextCache | None) -> list[ModelOutputs]:
+    """Each record's probabilities, from one no-grad forward per chunk of
+    ``EVAL_CHUNK`` records; they equal ``forward_record``'s bit for bit."""
+    out = []
     with no_grad():
         for lo in range(0, len(records), EVAL_CHUNK):
             chunk = records[lo : lo + EVAL_CHUNK]
             outputs = forward_records(net, chunk, texts)
-            for i, record in enumerate(chunk):
-                preds[record.video_id] = binarize(outputs.record(i), theta_seg, theta_vid,
-                                                  record.video_id)
-    return preds
+            out += (outputs.record(i) for i in range(len(chunk)))
+    return out
+
+
+def predict_records(net: AVMambaNet, records, texts: TextCache | None,
+                    theta_seg: float = TrainConfig.theta_seg,
+                    theta_vid: float = TrainConfig.theta_vid) -> dict[str, SegmentPrediction]:
+    """Binarized predictions: :func:`record_outputs`, then one ``binarize``
+    per record."""
+    records = list(records)
+    return {record.video_id: binarize(outputs, theta_seg, theta_vid, record.video_id)
+            for record, outputs in zip(records, record_outputs(net, records, texts))}
 
 
 def evaluate_records(net: AVMambaNet, records, gt: dict, classes,
@@ -321,13 +326,12 @@ def train(model_config: ModelConfig, train_records, classes,
     if not records:
         raise ConfigError("no training records")
     net = AVMambaNet(model_config, seed=config.seed)
-    params = net.parameters()
-    optimizer = AdamW(params, lr=config.learning_rate, weight_decay=config.weight_decay)
+    optimizer = AdamW(net.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
     texts = TextCache(classes, model_config.text_dim) if model_config.use_plsim else None
     rng = np.random.default_rng(config.seed)
     log = TrainLog(parameter_count=net.parameter_count())
     best_score = -np.inf
-    best_state: OrderedDict | None = None
+    best_state: np.ndarray | None = None
     has_val = val_records is not None and val_gt is not None
 
     for epoch in range(config.epochs):
@@ -345,8 +349,7 @@ def train(model_config: ModelConfig, train_records, classes,
                                       config.theta_seg, config.theta_vid)
             if report.seg_type_at_av > best_score:
                 best_score = report.seg_type_at_av
-                best_state = OrderedDict(
-                    (name, p.data.copy()) for name, p in params.items())
+                best_state = optimizer.buffer.copy()
         log.entries.append(EpochStats(epoch, epoch_loss, report,
                                       time.perf_counter() - started))
         if (config.stop_at_type_av is not None and report is not None
@@ -354,8 +357,7 @@ def train(model_config: ModelConfig, train_records, classes,
             break
 
     if best_state is not None:
-        for name, values in best_state.items():
-            params[name].data[...] = values
+        optimizer.buffer[...] = best_state
     if checkpoint_path is not None:
         save_model(checkpoint_path, net)
     if log_path is not None:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from avparse import estimator as estimator_module
+from avparse import trainer as trainer_module
 from avparse.data import SynthConfig, make_synthetic
 from avparse.errors import ConfigError, ContractError, ShapeError
 from avparse.estimator import AVMambaParser, CmrcAugmenter
 from avparse.metrics import SegmentPrediction, aggregate_report
-from avparse.trainer import TextCache, forward_record
+from avparse.trainer import TextCache, forward_record, forward_records
 from avparse.data import check_binary_matrix, check_feature_matrix, check_records
 
 
@@ -72,12 +72,12 @@ class TestParserFitPredict:
         seen = []
 
         def spy(*args):
-            seen.append(forward_record(*args))
+            seen.append(forward_records(*args))
             return seen[-1]
 
-        monkeypatch.setattr(estimator_module, "forward_record", spy)
+        monkeypatch.setattr(trainer_module, "forward_records", spy)
         probs = est.predict_proba(tiny_dataset.val)
-        assert len(seen) == len(tiny_dataset.val)
+        assert sum(len(outputs.video_prob.data) for outputs in seen) == len(tiny_dataset.val)
         assert not any(outputs.video_prob.requires_grad for outputs in seen)
         texts = TextCache(tiny_dataset.classes, est.net_.config.text_dim)
         for record, quiet in zip(tiny_dataset.val, probs):

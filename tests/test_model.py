@@ -9,9 +9,10 @@ from avparse.errors import ContractError, ShapeError, VocabularyError
 from avparse.model import (AVMambaNet, ChannelEnhancement, CrossModalFusion,
                            HybridAttention, MILHead, ModelConfig, ModelOutputs,
                            SemanticConditioning, TemporalSpatialAttention,
-                           compute_loss, embed_label_sets, film_residual,
+                           _bce_sums, compute_loss, embed_label_sets, film_residual,
                            text_vector)
 from avparse.tensor import Tensor
+from tests import composites
 
 
 @pytest.fixture
@@ -157,6 +158,14 @@ class TestTextEmbedding:
         b = text_vector("A photo of", "Violin", 16)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a) == pytest.approx(1.0)
+
+    def test_memoized_vector_is_fresh_bits_and_read_only(self):
+        cached = text_vector("A photo of", "Violin", 16)
+        assert text_vector("A photo of", "Violin", 16) is cached
+        assert np.array_equal(cached, text_vector.__wrapped__("A photo of", "Violin", 16))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
     def test_prefix_distinguishes_modalities(self):
         a = text_vector("this is a sound of", "Violin", 16)
@@ -414,6 +423,18 @@ class TestLoss:
     def bce_reference(p, y, eps=1e-7):
         p = np.clip(p, eps, 1 - eps)
         return -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
+
+    @pytest.mark.parametrize("shape, mask", [
+        ((3, 5), None), ((3, 4, 5), None),
+        ((3, 4, 5), np.array([[1.0, 0.0, 1.0, 1.0], [0.0] * 4, [0.0, 1.0, 1.0, 0.0]])),
+    ], ids=["[B, n]", "[B, T, C]", "[B, T, C] with null rows"])
+    def test_bce_node_matches_composite(self, rng, shape, mask):
+        prob = sigmoid(rng.standard_normal(shape) * 3.0)
+        prob.reshape(-1)[:3] = (0.0, 1.0, 1e-9)  # clamped entries pass no gradient
+        target = (rng.random(shape) < 0.5).astype(np.float64)
+        composites.check_fused_matches_composite(
+            lambda p: _bce_sums(p, target, mask),
+            lambda p: composites.bce_sums(p, target, mask), [prob], rng)
 
     def test_saturated_predictions_near_zero_loss(self):
         t, c = 4, 3

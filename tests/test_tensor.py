@@ -13,7 +13,8 @@ from avparse.data import SynthConfig, make_synthetic
 from avparse.errors import ConfigError, ContractError, ShapeError
 from avparse.model import AVMambaNet, ModelConfig, compute_loss
 from avparse.tensor import AdamW, Tensor
-from avparse.trainer import TextCache, forward_record
+from avparse.trainer import TextCache, forward_record, forward_records
+from tests import composites
 from tests.batching import check_batch_matches_records
 
 
@@ -258,6 +259,69 @@ class TestBatchAxis:
             tt.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
 
 
+# name -> (fused node, its composite reference, input shapes given the batch
+# axes ``lead``)
+FUSED_NODES = {
+    "affine": (tt.affine, composites.affine,
+               lambda lead: [(*lead, 5, 4), (4, 3), (3,)]),
+    "layernorm": (lambda x, g, b: tt.layernorm(x, g, b, 1e-5), composites.layernorm,
+                  lambda lead: [(*lead, 5, 4), (4,), (4,)]),
+    "softmax time": (lambda x: tt.softmax(x, axis=-2), lambda x: composites.softmax(x, -2),
+                     lambda lead: [(*lead, 5, 4)]),
+    "softmax channels": (lambda x: tt.softmax(x, axis=-1), lambda x: composites.softmax(x, -1),
+                         lambda lead: [(*lead, 5, 4)]),
+}
+
+
+class TestFusedNodes:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["[T, d]", "[B, T, d]"])
+    @pytest.mark.parametrize("name", list(FUSED_NODES))
+    def test_matches_composite(self, name, lead):
+        rng = np.random.default_rng(12)
+        fused, composite, shapes = FUSED_NODES[name]
+        composites.check_fused_matches_composite(
+            fused, composite, [rng.standard_normal(shape) * 3.0 for shape in shapes(lead)], rng)
+
+    def test_affine_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match="bias"):
+            tt.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(5)))
+
+
+class TestGradientOwnership:
+    def test_fan_out_gradients_share_no_memory(self):
+        # x feeds every op that hands its input a view of its own gradient
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        h = tt.affine(x, w, b)
+        outs = [x + h, x - h, h * x, tt.reshape(x, (4, 3)), tt.transpose(h),
+                tt.reverse(x, 0), tt.concat([x, h], axis=0), tt.pool(x, 0, "avg"),
+                tt.tsum(x, axis=1, keepdims=True), tt.layernorm(h, b, b, 1e-5),
+                tt.softmax(x, axis=0)]
+        loss = tt.tsum(tt.concat([tt.reshape(o, (o.size, 1)) for o in outs], axis=0))
+        loss.backward()
+        grads = [t.grad for t in tt.graph_tensors(loss) if t.grad is not None]
+        assert len(grads) > len(outs)
+        for i, g in enumerate(grads):
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(g, other)
+
+    def test_training_graph_gradients_share_no_memory(self):
+        config = ModelConfig()
+        ds = make_synthetic(SynthConfig(seed=3, n_videos=2, n_val=0))
+        net = AVMambaNet(config, seed=0)
+        outputs = forward_records(net, ds.train, TextCache(ds.classes, config.text_dim))
+        loss = compute_loss(outputs, *(np.stack([getattr(r, name) for r in ds.train])
+                                       for name in ("video_label", "pseudo_a", "pseudo_v",
+                                                    "null_a", "null_v")))
+        loss.backward()
+        grads = [t.grad for t in tt.graph_tensors(loss) if t.grad is not None]
+        for i, g in enumerate(grads):
+            for other in grads[i + 1:]:
+                assert not np.may_share_memory(g, other)
+
+
 class TestBackward:
     def test_square_gradient(self):
         x = Tensor([3.0], requires_grad=True)
@@ -395,6 +459,67 @@ class TestAdamW:
             p.grad = np.array([0.1])
             opt.step()
             assert opt.step_count == expected
+
+    @staticmethod
+    def mixed_shapes():
+        # after the 1-element tensor, the second straddles the first block
+        # edge and the third is larger than a block
+        block = tt.ADAMW_BLOCK
+        return [(1,), (2, block // 2), (3, block)]
+
+    def test_flat_step_matches_per_tensor_reference(self):
+        rng = np.random.default_rng(8)
+        shapes = self.mixed_shapes()
+        init = [rng.standard_normal(shape) for shape in shapes]
+        params = {f"p{i}": Tensor(a, requires_grad=True) for i, a in enumerate(init)}
+        lr, (b1, b2), eps, wd = 1e-2, (0.9, 0.999), 1e-8, 0.05
+        opt = AdamW(params, lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+        # the per-tensor loop AdamW ran before its state went flat
+        ref = [a.copy() for a in init]
+        ref_m = [np.zeros_like(a) for a in init]
+        ref_v = [np.zeros_like(a) for a in init]
+        for t in range(1, 21):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            for p, g in zip(params.values(), grads):
+                p.grad = g.copy()
+            opt.step()
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for w, m, v, g in zip(ref, ref_m, ref_v, grads):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+                w -= lr * (update + wd * w)
+        assert np.array_equal(opt._m, np.concatenate([m.ravel() for m in ref_m]))
+        assert np.array_equal(opt._v, np.concatenate([v.ravel() for v in ref_v]))
+        for p, w in zip(params.values(), ref):
+            assert np.array_equal(p.data, w)
+
+    def test_parameters_are_views_of_the_buffer(self):
+        rng = np.random.default_rng(9)
+        params = {f"p{i}": Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for i, shape in enumerate(self.mixed_shapes())}
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = AdamW(params)
+        assert_views_of(params.values(), opt.buffer)
+        for name, p in params.items():
+            assert np.array_equal(p.data, before[name])
+            p.grad = rng.standard_normal(p.shape)
+        opt.step()
+        assert_views_of(params.values(), opt.buffer)
+        opt.buffer[...] = 0.0
+        assert all(not p.data.any() for p in params.values())
+
+
+def assert_views_of(params, buffer) -> None:
+    """Each tensor's data is the next stretch of ``buffer``, which they fill."""
+    offset = 0
+    for p in params:
+        assert p.data.base is buffer
+        assert p.data.ctypes.data == buffer[offset:].ctypes.data
+        offset += p.size
+    assert offset == buffer.size
 
 
 class TestDeterminism:

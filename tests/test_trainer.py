@@ -15,6 +15,8 @@ from avparse.trainer import (TextCache, TrainConfig, ablate, augmented_records,
                              evaluate_checkpoint, evaluate_records, forward_record,
                              load_model, pinned_shapes, predict_records, save_model, train,
                              train_on_dir)
+from avparse.tensor import AdamW
+from tests.test_tensor import assert_views_of
 
 TINY_MODEL = dict(n_segments=6, dim=12, n_classes=5, d_state=4,
                   d_audio_in=8, d_visual_in=8, text_dim=8)
@@ -138,6 +140,31 @@ class TestTrainingLoop:
                 tiny_train(tiny_dataset, epochs=1)
         finally:
             trainer_mod.AVMambaNet = original
+
+
+class TestFlatParameters:
+    def test_best_state_restore_keeps_parameters_views(self, tiny_dataset):
+        net, log = tiny_train(tiny_dataset, epochs=3)
+        params = list(net.parameters().values())
+        assert_views_of(params, params[0].data.base)
+        best = max(e.report.seg_type_at_av for e in log.entries)
+        score = evaluate_records(net, tiny_dataset.val, tiny_dataset.gt_val,
+                                 tiny_dataset.classes).seg_type_at_av
+        assert score == best
+
+    def test_loaded_model_packs_into_a_new_buffer(self, tiny_dataset, tmp_path):
+        net, _ = tiny_train(tiny_dataset, epochs=1)
+        path = tmp_path / "model.mugc"
+        save_model(path, net)
+        loaded = load_model(path)
+        params = loaded.parameters()
+        opt = AdamW(params)
+        assert_views_of(params.values(), opt.buffer)
+        for name, p in net.parameters().items():
+            assert np.array_equal(params[name].data, p.data)
+            params[name].grad = np.ones_like(p.data)
+        opt.step()
+        assert_views_of(params.values(), opt.buffer)
 
 
 class TestCheckpointRoundTrip:
