@@ -6,16 +6,24 @@ Layout (all integers little-endian u32):
 
 with each entry ``name_len | name utf-8 | rank | dims[rank] | f64 payload``;
 entry names are unique.
+
+Both directions stream: a save writes each payload from its array, and a load
+reads each payload straight into its destination array, so neither holds a
+copy of the file. A save replaces ``path`` only once the whole file is written
+(:func:`~avparse.data.atomic_write`).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 from collections import OrderedDict
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import CheckpointError
 
 MAGIC = b"MUGC"
@@ -24,68 +32,97 @@ VERSION = 1
 
 def save_checkpoint(path, params) -> None:
     """Write named arrays (or Tensors) to ``path`` in declaration order."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", VERSION)
-    items = [(name, getattr(p, "data", p)) for name, p in params.items()]
-    blob += struct.pack("<I", len(items))
-    for name, arr in items:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        raw_name = name.encode("utf-8")
-        blob += struct.pack("<I", len(raw_name))
-        blob += raw_name
-        blob += struct.pack("<I", arr.ndim)
-        for d in arr.shape:
-            blob += struct.pack("<I", d)
-        blob += arr.astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    items = [(name, np.ascontiguousarray(getattr(p, "data", p), dtype=np.float64))
+             for name, p in params.items()]
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(items)))
+        for name, arr in items:
+            raw_name = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(raw_name)}sI{arr.ndim}I", len(raw_name), raw_name,
+                                 arr.ndim, *arr.shape))
+            fh.write(arr.astype("<f8", copy=False))
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+class _Index:
+    """The header and index pass over an open checkpoint: each entry's shape
+    and payload offset, in file order, read without touching a payload."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
+        if self.take(4, "magic") != MAGIC:
+            raise CheckpointError(f"bad magic in {path}: expected {MAGIC!r}")
+        version = self.u32("version")
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        count = self.u32("entry count")
+        self.entries: OrderedDict[str, tuple[tuple[int, ...], int]] = OrderedDict()
+        for _ in range(count):
+            name_len = self.u32("name length")
+            try:
+                name = self.take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"entry name is not valid UTF-8: {exc}") from exc
+            if name in self.entries:
+                raise CheckpointError(f"duplicate checkpoint entry {name!r}")
+            rank = self.u32("rank")
+            dims = struct.unpack(f"<{rank}I", self.take(4 * rank, "dimension"))
+            self.entries[name] = (dims, self.pos)
+            self.skip(8 * math.prod(dims), f"payload of {name!r}")  # exact; no int64 wrap
+        if self.pos != self.size:
+            raise CheckpointError(f"{self.size - self.pos} trailing bytes after last entry")
+
+    def skip(self, n: int, what: str) -> None:
+        if self.pos + n > self.size:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        self.pos += n
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(f"truncated checkpoint while reading {what}")
-        chunk = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        start = self.pos
+        self.skip(n, what)  # checked before anything is read or allocated
+        self.fh.seek(start)
+        return self.fh.read(n)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def read_into(self, name: str, arr: np.ndarray) -> np.ndarray:
+        """Read entry ``name``'s payload into ``arr``, a C-contiguous float64
+        array of its shape."""
+        self.fh.seek(self.entries[name][1])
+        if self.fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise CheckpointError(f"truncated checkpoint while reading payload of {name!r}")
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+        return arr
 
-def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
+
+def load_checkpoint(path, layout=None) -> "OrderedDict[str, np.ndarray]":
+    """Every entry of the checkpoint at ``path``, by name in file order.
+
+    A header and index pass first checks the whole file -- magic, version,
+    names, shapes, and payloads that exactly fill it -- and raises
+    ``CheckpointError`` before any payload is read or array allocated.
+
+    ``layout``, when given, is then called as ``layout(shapes, read)``:
+    ``shapes`` maps each name to its shape and ``read(name)`` returns that
+    entry's array. It returns arrays, by name, that those entries' payloads
+    are read straight into; each must be C-contiguous float64 of its entry's
+    shape. The other entries are read into new arrays.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            index = _Index(fh, path)
+
+            def read(name: str) -> np.ndarray:
+                return index.read_into(name, np.empty(index.entries[name][0]))
+
+            targets = {}
+            if layout is not None:
+                targets = layout(OrderedDict((name, dims) for name, (dims, _)
+                                             in index.entries.items()), read)
+            return OrderedDict((name, index.read_into(name, targets[name]) if name in targets
+                                else read(name)) for name in index.entries)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob)
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointError(f"bad magic in {path}: expected {MAGIC!r}")
-    version = r.u32("version")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    count = r.u32("entry count")
-    out: OrderedDict[str, np.ndarray] = OrderedDict()
-    for _ in range(count):
-        name_len = r.u32("name length")
-        try:
-            name = r.take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"entry name is not valid UTF-8: {exc}") from exc
-        if name in out:
-            raise CheckpointError(f"duplicate checkpoint entry {name!r}")
-        rank = r.u32("rank")
-        dims = tuple(r.u32("dimension") for _ in range(rank))
-        n = math.prod(dims)  # exact; np.prod wraps around in int64
-        payload = r.take(8 * n, f"payload of {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-        out[name] = arr
-    if r.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after last entry")
-    return out

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -123,6 +124,27 @@ class Manifest:
     n_segments: int
     classes: list[str]
     records: list[tuple[str, str, str, frozenset]]  # (id, audio path, visual path, labels)
+
+
+# -- atomic writes ------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Write ``path`` through a new temporary file in the same directory,
+    opened in ``mode`` ("w" or "wb"). When the block finishes, the file
+    replaces ``path`` in one ``os.replace``; when it raises, the file is
+    removed and ``path`` is left as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # -- feature files ----------------------------------------------------------------
@@ -265,7 +287,7 @@ def write_label_csv(path, table, vocabulary, n_segments: int) -> None:
     event-free rows are written empty (the convention for prediction dumps
     and ground truth, where the flag carries no meaning).
     """
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LABEL_CSV_HEADER)
         for video_id in sorted(table):

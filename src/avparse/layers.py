@@ -10,6 +10,19 @@ from . import tensor as tt
 from .tensor import Tensor
 
 
+def normal_init(rng: np.random.Generator | None, shape, scale: float | None = None) -> np.ndarray:
+    """Standard-normal draws of ``shape`` times ``scale``, or divided by the
+    square root of the first dimension (the fan-in) when ``scale`` is None.
+
+    With ``rng=None`` nothing is drawn: the array is uninitialised, for a net
+    whose store a checkpoint fills (see ``AVMambaNet``).
+    """
+    if rng is None:
+        return np.empty(shape)
+    draws = rng.standard_normal(shape)
+    return draws / np.sqrt(shape[0]) if scale is None else draws * scale
+
+
 class Module:
     """Minimal module base: named parameter registry plus child modules."""
 
@@ -47,11 +60,10 @@ class Module:
 class Linear(Module):
     """Affine map ``x @ W + b`` with N(0, init_scale^2/fan_in) weight init."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None,
                  init_scale: float = 1.0):
         super().__init__()
-        self.w = self._register(
-            "w", rng.standard_normal((d_in, d_out)) * (init_scale / np.sqrt(d_in)))
+        self.w = self._register("w", normal_init(rng, (d_in, d_out), init_scale / np.sqrt(d_in)))
         self.b = self._register("b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -74,7 +86,7 @@ class LayerNorm(Module):
 class MLP(Module):
     """Two-layer perceptron with ReLU in between."""
 
-    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator):
+    def __init__(self, d_in: int, d_hidden: int, d_out: int, rng: np.random.Generator | None):
         super().__init__()
         self.fc1 = self._child("fc1", Linear(d_in, d_hidden, rng))
         self.fc2 = self._child("fc2", Linear(d_hidden, d_out, rng))

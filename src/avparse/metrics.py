@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import label_tables, read_label_rows
+from .data import atomic_write, label_tables, read_label_rows
 from .errors import OPEN_UNIT_INTERVAL, EvaluationError, ShapeError, check_value
 
 THETA = 0.5  # default segment and video thresholds of binarize
@@ -83,7 +83,7 @@ class MetricReport:
         return "\n".join(lines)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
             writer.writerow([f"{v:.6f}" for v in self.as_row()])

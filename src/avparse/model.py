@@ -23,7 +23,7 @@ from . import tensor as tt
 from .data import check_binary_matrix
 from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, ShapeError, VocabularyError,
                      check_fields)
-from .layers import MLP, Linear, Module
+from .layers import MLP, Linear, Module, normal_init
 from .ssm import (MambaBlock, SharedMatrixHandle, SsmParams, default_dt_rank,
                   selective_scan, selective_scan_backward, selective_scan_dynamic)
 from .tensor import Tensor
@@ -128,7 +128,8 @@ class TemporalSpatialAttention(Module):
     """Channel weights from segment-pooled features, then temporal weights
     from channel-pooled maps; both squashed to (0, 1) and applied in sequence."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, d_state: int, expand: int, d_conv: int):
+    def __init__(self, dim: int, rng: np.random.Generator | None, d_state: int, expand: int,
+                 d_conv: int):
         super().__init__()
         self.channel_block = self._child(
             "channel_block", MambaBlock(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv))
@@ -156,20 +157,20 @@ class FusionStream(MambaBlock):
     forward, a backward and a dynamic scan, whose shared matrices are in
     ``handles`` (fwd, bwd, dyn)."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, d_state: int, expand: int,
+    def __init__(self, dim: int, rng: np.random.Generator | None, d_state: int, expand: int,
                  d_conv: int, modality: str, handles: dict[str, SharedMatrixHandle]):
         self.modality = modality
         self.handles = handles
         super().__init__(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv)
 
-    def _register_scan(self, rng: np.random.Generator, d_state: int) -> None:
+    def _register_scan(self, rng: np.random.Generator | None, d_state: int) -> None:
         d_inner, rank = self.d_inner, default_dt_rank(self.d_model)
         self.ssm_fwd, self.ssm_bwd, self.ssm_dyn = (  # drawn in this order
             self._child(f"ssm_{branch}", SsmParams(d_inner, d_state, rng, rank,
                                                    shared=self.handles[branch],
                                                    modality=self.modality))
             for branch in ("fwd", "bwd", "dyn"))
-        self.w_start = self._register("w_start", rng.standard_normal((d_inner, 1)) / np.sqrt(d_inner))
+        self.w_start = self._register("w_start", normal_init(rng, (d_inner, 1)))
         self.b_start = self._register("b_start", np.zeros(1))
 
     def _scan(self, xc: Tensor) -> Tensor:
@@ -184,7 +185,7 @@ class CrossModalFusion(Module):
     """Dual-stream fusion: private scans with shared input-projection matrices
     per branch, plus a channel-concat mixed feature."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, d_state: int, expand: int,
+    def __init__(self, dim: int, rng: np.random.Generator | None, d_state: int, expand: int,
                  d_conv: int, sharing_active: bool = True):
         super().__init__()
         d_inner = expand * dim
@@ -215,7 +216,8 @@ class PrivateScanPair(Module):
     block per modality running in parallel -- no shared matrices, no
     backward/dynamic branches, no mixed feature."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, d_state: int, expand: int, d_conv: int):
+    def __init__(self, dim: int, rng: np.random.Generator | None, d_state: int, expand: int,
+                 d_conv: int):
         super().__init__()
         self.a = self._child("a", MambaBlock(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv))
         self.v = self._child("v", MambaBlock(dim, rng, d_state=d_state, expand=expand, d_conv=d_conv))
@@ -227,7 +229,7 @@ class PrivateScanPair(Module):
 class ChannelEnhancement(Module):
     """Amplify channels where the modalities agree: factor in (1, 2)."""
 
-    def __init__(self, dim: int, rng: np.random.Generator):
+    def __init__(self, dim: int, rng: np.random.Generator | None):
         super().__init__()
         self.p = self._child("p", Linear(dim, dim, rng))
         self.q = self._child("q", Linear(dim, dim, rng))
@@ -253,7 +255,7 @@ class SemanticConditioning(Module):
     module an exact identity.
     """
 
-    def __init__(self, dim: int, text_dim: int, rng: np.random.Generator):
+    def __init__(self, dim: int, text_dim: int, rng: np.random.Generator | None):
         super().__init__()
         self.a_scale = self._child("a_scale", MLP(text_dim, dim, dim, rng))
         self.a_bias = self._child("a_bias", MLP(text_dim, dim, dim, rng))
@@ -272,7 +274,7 @@ class SemanticConditioning(Module):
 class Attention(Module):
     """Single-head scaled dot-product attention with learned q/k/v maps."""
 
-    def __init__(self, dim: int, rng: np.random.Generator):
+    def __init__(self, dim: int, rng: np.random.Generator | None):
         super().__init__()
         self.dim = dim
         self.wq = self._child("wq", Linear(dim, dim, rng))
@@ -291,7 +293,7 @@ class Attention(Module):
 class HybridAttention(Module):
     """Residual self- plus cross-attention, one layer per modality."""
 
-    def __init__(self, dim: int, rng: np.random.Generator):
+    def __init__(self, dim: int, rng: np.random.Generator | None):
         super().__init__()
         self.self_a = self._child("self_a", Attention(dim, rng))
         self.cross_a = self._child("cross_a", Attention(dim, rng))
@@ -308,7 +310,7 @@ class MILHead(Module):
     """Shared segment classifier with per-class temporal attention and a
     two-way modality attention pooled into one video-level probability."""
 
-    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator):
+    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator | None):
         super().__init__()
         # small head init keeps untrained outputs near 0.5 / uniform attention
         self.classifier = self._child("classifier", Linear(dim, n_classes, rng, init_scale=0.1))
@@ -342,12 +344,20 @@ class MILHead(Module):
 
 
 class AVMambaNet(Module):
-    """End-to-end parser; deterministic given (config, seed)."""
+    """End-to-end parser; deterministic given (config, seed).
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    The net owns ``store``, one flat float64 array holding every parameter in
+    :meth:`parameters` order (the checkpoint order); each parameter's
+    ``data`` is a view of it. The seeded init draws each parameter in
+    construction order and is then packed into the store. With
+    ``seed=None`` nothing is drawn and the store is left uninitialised, for
+    ``load_model`` to read a checkpoint into.
+    """
+
+    def __init__(self, config: ModelConfig, seed: int | None = 0):
         super().__init__()
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         d = config.dim
         self.proj_a = self._child("proj_a", Linear(config.d_audio_in, d, rng))
         self.proj_v = self._child("proj_v", Linear(config.d_visual_in, d, rng))
@@ -368,6 +378,7 @@ class AVMambaNet(Module):
             self.plsim = self._child("plsim", SemanticConditioning(d, config.text_dim, rng))
         self.han = self._child("han", HybridAttention(d, rng))
         self.mmil = self._child("mmil", MILHead(d, config.n_classes, rng))
+        self.store = tt.pack(self.parameters().values(), keep_values=rng is not None)
 
     def _check_inputs(self, audio: np.ndarray, visual: np.ndarray,
                       text_a: np.ndarray | None, text_v: np.ndarray | None) -> tuple[int, ...]:

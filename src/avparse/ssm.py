@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as tt
 from .errors import ContractError, ShapeError
-from .layers import LayerNorm, Module
+from .layers import LayerNorm, Module, normal_init
 from .tensor import Tensor
 
 
@@ -35,12 +35,11 @@ class SharedMatrixHandle(Module):
     used unmodified and no gradient reaches the shared parameters).
     """
 
-    def __init__(self, d_inner: int, d_state: int, rng: np.random.Generator, active: bool = True):
+    def __init__(self, d_inner: int, d_state: int, rng: np.random.Generator | None,
+                 active: bool = True):
         super().__init__()
         self.active = active
-        self.w_shared = self._register(
-            "w_shared", rng.standard_normal((d_inner, d_state)) / np.sqrt(d_inner)
-        )
+        self.w_shared = self._register("w_shared", normal_init(rng, (d_inner, d_state)))
         self.alpha_a = self._register("alpha_a", np.zeros(1))
         self.alpha_v = self._register("alpha_v", np.zeros(1))
 
@@ -61,7 +60,7 @@ class SsmParams(Module):
     lands in roughly [0.001, 0.1].
     """
 
-    def __init__(self, d_inner: int, d_state: int, rng: np.random.Generator,
+    def __init__(self, d_inner: int, d_state: int, rng: np.random.Generator | None,
                  dt_rank: int, shared: SharedMatrixHandle | None = None,
                  modality: str | None = None):
         super().__init__()
@@ -71,12 +70,15 @@ class SsmParams(Module):
         self.modality = modality
         a_row = np.log(np.arange(1, d_state + 1, dtype=np.float64))
         self.a_log = self._register("a_log", np.tile(a_row, (d_inner, 1)))
-        self.w_b = self._register("w_b", rng.standard_normal((d_inner, d_state)) / np.sqrt(d_inner))
-        self.w_c = self._register("w_c", rng.standard_normal((d_inner, d_state)) / np.sqrt(d_inner))
-        self.w_dt1 = self._register("w_dt1", rng.standard_normal((d_inner, dt_rank)) / np.sqrt(d_inner))
-        self.w_dt2 = self._register("w_dt2", rng.standard_normal((dt_rank, d_inner)) / np.sqrt(dt_rank))
-        dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))
-        self.b_dt = self._register("b_dt", np.log(np.expm1(dt)))
+        self.w_b = self._register("w_b", normal_init(rng, (d_inner, d_state)))
+        self.w_c = self._register("w_c", normal_init(rng, (d_inner, d_state)))
+        self.w_dt1 = self._register("w_dt1", normal_init(rng, (d_inner, dt_rank)))
+        self.w_dt2 = self._register("w_dt2", normal_init(rng, (dt_rank, d_inner)))
+        if rng is None:  # no draws; see normal_init
+            b_dt = np.empty(d_inner)
+        else:
+            b_dt = np.log(np.expm1(np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))))
+        self.b_dt = self._register("b_dt", b_dt)
         self.d_skip = self._register("d_skip", np.ones(d_inner))
 
     def effective_b_weight(self) -> Tensor:
@@ -378,25 +380,21 @@ class MambaBlock(Module):
     between the conv and the output projection) and :meth:`_scan`.
     """
 
-    def __init__(self, d_model: int, rng: np.random.Generator, d_state: int = 16,
+    def __init__(self, d_model: int, rng: np.random.Generator | None, d_state: int = 16,
                  expand: int = 2, d_conv: int = 4):
         super().__init__()
         self.d_model = d_model
         self.d_inner = expand * d_model
         self.norm = self._child("norm", LayerNorm(d_model))
-        self.w_in_x = self._register(
-            "w_in_x", rng.standard_normal((d_model, self.d_inner)) / np.sqrt(d_model))
-        self.w_in_z = self._register(
-            "w_in_z", rng.standard_normal((d_model, self.d_inner)) / np.sqrt(d_model))
-        self.conv_w = self._register(
-            "conv_w", rng.standard_normal((d_conv, self.d_inner)) / np.sqrt(d_conv))
+        self.w_in_x = self._register("w_in_x", normal_init(rng, (d_model, self.d_inner)))
+        self.w_in_z = self._register("w_in_z", normal_init(rng, (d_model, self.d_inner)))
+        self.conv_w = self._register("conv_w", normal_init(rng, (d_conv, self.d_inner)))
         self.conv_b = self._register("conv_b", np.zeros(self.d_inner))
         self._register_scan(rng, d_state)
-        self.w_out = self._register(
-            "w_out", rng.standard_normal((self.d_inner, d_model)) / np.sqrt(self.d_inner))
+        self.w_out = self._register("w_out", normal_init(rng, (self.d_inner, d_model)))
         self.b_out = self._register("b_out", np.zeros(d_model))
 
-    def _register_scan(self, rng: np.random.Generator, d_state: int) -> None:
+    def _register_scan(self, rng: np.random.Generator | None, d_state: int) -> None:
         self.ssm = self._child(
             "ssm", SsmParams(self.d_inner, d_state, rng, default_dt_rank(self.d_model)))
 

@@ -1,8 +1,8 @@
 """Dense float64 tensor with reverse-mode automatic differentiation.
 
 The array payload is a numpy ``float64`` ndarray; the graph bookkeeping,
-gradient rules and the AdamW optimizer are implemented here. Design choices
-that tests rely on:
+gradient rules, the parameter store (:func:`pack`) and the AdamW optimizer
+are implemented here. Design choices that tests rely on:
 
 * gradients never accumulate across ``backward`` calls -- a second call that
   reaches an already-populated gradient raises ``ContractError``;
@@ -246,12 +246,6 @@ def full(shape, value: float, requires_grad: bool = False, name: str | None = No
     return Tensor(np.full(_check_shape(shape), float(value)), requires_grad, name)
 
 
-def seeded_gaussian(seed: int, shape, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    """Standard-normal tensor; equal seeds give bit-identical contents."""
-    rng = np.random.default_rng(seed)
-    return Tensor(rng.standard_normal(_check_shape(shape)), requires_grad, name)
-
-
 # -- binary elementwise ops ---------------------------------------------------
 
 
@@ -377,11 +371,6 @@ def softplus(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
     return _unary(a, e, lambda: e)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    return _unary(a, t, lambda: 1.0 - t * t)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -644,7 +633,48 @@ def graph_tensors(root: Tensor, fresh: bool = False) -> list[Tensor]:
     return topo
 
 
-# -- AdamW ---------------------------------------------------------------------
+# -- the parameter store and AdamW ------------------------------------------------
+
+
+def pack(params, keep_values: bool = True) -> Array:
+    """Give ``params`` one new flat float64 store, in their order, and return it.
+
+    Each parameter's ``data`` is rebound to its view of the store, which holds
+    its values, or, with ``keep_values=False``, is left uninitialised for the
+    caller to fill. From then on a parameter is changed by writing into its
+    ``data``; rebinding ``data`` would detach it from the store.
+    """
+    params = list(params)
+    store = np.empty(sum(p.data.size for p in params))
+    offset = 0
+    for p in params:
+        n = p.data.size
+        view = store[offset : offset + n].reshape(p.data.shape)
+        if keep_values:
+            view[...] = p.data
+        p.data = view
+        offset += n
+    return store
+
+
+def _store_of(params: dict) -> Array:
+    """The store that ``params`` are views of, in order and filling it, as
+    :func:`pack` leaves them; ``ContractError`` otherwise."""
+    first = next(iter(params.values()), None)
+    store = None if first is None else first.data.base
+    offset = 0
+    for name, p in params.items():
+        if (store is None or store.ndim != 1 or p.data.base is not store
+                or not p.data.flags.c_contiguous
+                or p.data.ctypes.data != store.ctypes.data + 8 * offset):
+            raise ContractError(f"parameter {name!r} is not the next view of one packed "
+                                "store; pack the parameters with tt.pack first")
+        offset += p.data.size
+    if store is None or offset != store.size:
+        raise ContractError(f"the parameters fill {offset} elements of a packed store of "
+                            f"{0 if store is None else store.size}; pass all of them")
+    return store
+
 
 # Elements per AdamW update block: the block's slices of the parameters, m, v,
 # gradients and two scratch arrays (6 x 128 KiB) stay in a core's L2 cache.
@@ -654,11 +684,9 @@ ADAMW_BLOCK = 16384
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter collection.
 
-    The optimizer owns one float64 ``buffer`` holding every parameter, in
-    ``params`` order (the checkpoint order), and rebinds each parameter's
-    ``data`` to its view of it; ``m`` and ``v`` are flat too. Code that
-    changes a parameter afterwards writes into ``data``; rebinding it would
-    detach the parameter from the optimizer.
+    The parameters must already share one store, in ``params`` order, as
+    :func:`pack` leaves them (``AVMambaNet`` packs its own); the optimizer
+    updates that store as its ``buffer``, with ``m`` and ``v`` flat too.
     """
 
     def __init__(self, params, lr: float = 3e-4, betas=(0.9, 0.999), eps: float = 1e-8,
@@ -671,8 +699,8 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        size = sum(p.data.size for p in self.params.values())
-        self.buffer = np.empty(size)
+        self.buffer = _store_of(self.params)
+        size = self.buffer.size
         # per block: (lo, hi, pieces), each piece (param index, slice of its
         # flat gradient, slice of the block); a one-piece block reads the
         # gradient in place, a longer one gathers it into scratch
@@ -680,9 +708,6 @@ class AdamW:
         offset = 0
         for i, p in enumerate(self.params.values()):
             n = p.data.size
-            view = self.buffer[offset : offset + n].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
             for lo in range(offset - offset % ADAMW_BLOCK, offset + n, ADAMW_BLOCK):
                 if lo == len(self._blocks) * ADAMW_BLOCK:
                     self._blocks.append((lo, min(lo + ADAMW_BLOCK, size), []))

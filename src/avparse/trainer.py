@@ -12,7 +12,7 @@ import numpy as np
 
 from .augment import AugmentConfig, count_label_distribution, generate_cmrc_batch
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import LoadedSplit, VideoRecord, load_split
+from .data import LoadedSplit, VideoRecord, atomic_write, load_split
 from .errors import (NON_NEGATIVE, OPEN_UNIT_INTERVAL, POSITIVE, UNIT_INTERVAL, CheckpointError,
                      ConfigError, EvaluationError, ParseError, TrainingError, check_fields)
 from .metrics import (REPORT_COLUMNS, THETA, MetricReport, SegmentPrediction, aggregate_report,
@@ -78,7 +78,7 @@ class TrainLog:
     entries: list[EpochStats] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss", *REPORT_COLUMNS, "wall_clock_s", "n_params"])
             for e in self.entries:
@@ -166,28 +166,47 @@ def pinned_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return pins
 
 
-def _check_entry(stored: dict, name: str, shape: tuple[int, ...], source: str) -> None:
-    if name not in stored:
+def _check_entry(shapes: dict, name: str, shape: tuple[int, ...], source: str) -> None:
+    if name not in shapes:
         raise CheckpointError(f"checkpoint missing parameter {name!r}")
-    if stored[name].shape != shape:
-        raise CheckpointError(f"shape mismatch for {name!r}: checkpoint {stored[name].shape}, "
+    if shapes[name] != shape:
+        raise CheckpointError(f"shape mismatch for {name!r}: checkpoint {shapes[name]}, "
                               f"{source} {shape}")
 
 
 def load_model(path) -> AVMambaNet:
-    stored = load_checkpoint(path)
-    config = _config_from_meta(stored)
-    for name, shape in pinned_shapes(config).items():  # before anything is allocated
-        _check_entry(stored, name, shape, "metadata")
-    net = AVMambaNet(config, seed=0)
-    params = net.parameters()
-    meta_names = {META_PREFIX + f.name for f in fields(ModelConfig)}
-    unknown = [name for name in stored if name not in params and name not in meta_names]
-    if unknown:
-        raise CheckpointError(f"checkpoint has unknown entries {unknown[:5]}")
-    for name in params:
-        _check_entry(stored, name, params[name].data.shape, "model")
-        params[name].data[...] = stored[name]
+    """The net saved at ``path``: its config comes from the ``meta.*``
+    entries, and every payload is read straight into the net's store.
+
+    The widths in the metadata are checked against the file's shapes before
+    the store is allocated, the net draws no random init, and a parameter
+    holding a non-finite value is rejected."""
+    net = None
+
+    def layout(shapes: dict, read) -> dict:
+        nonlocal net
+        meta_names = {META_PREFIX + f.name for f in fields(ModelConfig)}
+        config = _config_from_meta({name: read(name) for name in meta_names & shapes.keys()})
+        for name, shape in pinned_shapes(config).items():  # before anything is allocated
+            _check_entry(shapes, name, shape, "metadata")
+        net = AVMambaNet(config, seed=None)
+        params = net.parameters()
+        unknown = [name for name in shapes if name not in params and name not in meta_names]
+        if unknown:
+            raise CheckpointError(f"checkpoint has unknown entries {unknown[:5]}")
+        for name, p in params.items():
+            _check_entry(shapes, name, p.shape, "model")
+        return {name: p.data for name, p in params.items()}
+
+    load_checkpoint(path, layout)
+    # one pass: an inf or nan makes the sum non-finite, so a finite sum proves
+    # every value finite; only a non-finite one (or an overflow) needs the search
+    with np.errstate(over="ignore"):
+        total = net.store.sum()
+    if not np.isfinite(total):
+        for name, p in net.parameters().items():
+            if not np.isfinite(p.data).all():
+                raise CheckpointError(f"checkpoint entry {name!r} holds a non-finite value")
     return net
 
 
@@ -349,7 +368,7 @@ def train(model_config: ModelConfig, train_records, classes,
                                       config.theta_seg, config.theta_vid)
             if report.seg_type_at_av > best_score:
                 best_score = report.seg_type_at_av
-                best_state = optimizer.buffer.copy()
+                best_state = net.store.copy()
         log.entries.append(EpochStats(epoch, epoch_loss, report,
                                       time.perf_counter() - started))
         if (config.stop_at_type_av is not None and report is not None
@@ -357,7 +376,7 @@ def train(model_config: ModelConfig, train_records, classes,
             break
 
     if best_state is not None:
-        optimizer.buffer[...] = best_state
+        net.store[...] = best_state
     if checkpoint_path is not None:
         save_model(checkpoint_path, net)
     if log_path is not None:

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from avparse import tensor as tt
 from avparse import trainer as trainer_module
 from avparse.checkpoint import load_checkpoint, save_checkpoint
 from avparse.cli import main as cli_main
@@ -145,12 +146,25 @@ class TestTrainingLoop:
 class TestFlatParameters:
     def test_best_state_restore_keeps_parameters_views(self, tiny_dataset):
         net, log = tiny_train(tiny_dataset, epochs=3)
-        params = list(net.parameters().values())
-        assert_views_of(params, params[0].data.base)
+        assert_views_of(net.parameters().values(), net.store)
         best = max(e.report.seg_type_at_av for e in log.entries)
         score = evaluate_records(net, tiny_dataset.val, tiny_dataset.gt_val,
                                  tiny_dataset.classes).seg_type_at_av
         assert score == best
+
+    @pytest.mark.parametrize("changes", [{}, {"amf_mode": "private", "use_tsa": False}])
+    def test_new_net_owns_one_store_that_adamw_updates(self, changes):
+        net = AVMambaNet(ModelConfig(**{**TINY_MODEL, **changes}), seed=3)
+        params = net.parameters()
+        assert_views_of(params.values(), net.store)
+        opt = AdamW(params)
+        assert opt.buffer is net.store
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        before = net.store.copy()
+        opt.step()
+        assert_views_of(params.values(), net.store)
+        assert not np.array_equal(net.store, before)
 
     def test_loaded_model_packs_into_a_new_buffer(self, tiny_dataset, tmp_path):
         net, _ = tiny_train(tiny_dataset, epochs=1)
@@ -158,13 +172,47 @@ class TestFlatParameters:
         save_model(path, net)
         loaded = load_model(path)
         params = loaded.parameters()
+        assert_views_of(params.values(), loaded.store)
+        store = tt.pack(params.values())
+        assert store is not loaded.store
         opt = AdamW(params)
         assert_views_of(params.values(), opt.buffer)
+        assert opt.buffer is store
         for name, p in net.parameters().items():
             assert np.array_equal(params[name].data, p.data)
             params[name].grad = np.ones_like(p.data)
         opt.step()
         assert_views_of(params.values(), opt.buffer)
+
+    def test_load_model_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.mugc"
+        net = AVMambaNet(ModelConfig(**TINY_MODEL), seed=4)
+        save_model(path, net)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_model made a random generator")
+
+        # numpy's Generator type cannot be patched, so no generator may be made
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded = load_model(path)
+        assert_views_of(loaded.parameters().values(), loaded.store)
+        assert np.array_equal(loaded.store, net.store)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, value):
+        shape = AVMambaNet(ModelConfig(**TINY_MODEL), seed=0).mmil.classifier.b.shape
+        bad = np.zeros(shape)
+        bad[-1] = value
+        path = malformed_checkpoint(tmp_path, "mmil.classifier.b", bad)
+        with pytest.raises(CheckpointError, match="'mmil.classifier.b' holds a non-finite"):
+            load_model(path)
+        assert cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_finite_parameters_whose_sum_overflows_load(self, tmp_path):
+        shape = AVMambaNet(ModelConfig(**TINY_MODEL), seed=0).mmil.classifier.b.shape
+        path = malformed_checkpoint(tmp_path, "mmil.classifier.b", np.full(shape, 1e308))
+        assert np.all(load_model(path).mmil.classifier.b.data == 1e308)
 
 
 class TestCheckpointRoundTrip:
