@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Manifest, VideoRecord, write_label_csv, write_manifest
+from .data import Manifest, VideoRecord, atomic_write, write_label_csv, write_manifest
 from .errors import NON_NEGATIVE, CapacityError, CombineError, check_fields
 
 PROVENANCE_HEADER = ["new_id", "visual_donor", "audio_donor"]
@@ -183,7 +183,7 @@ def write_cmrc_outputs(out_dir: str, batch, donor_manifest: Manifest, data_dir: 
         pseudo_table[r.video_id] = {"a": (r.pseudo_a, r.null_a), "v": (r.pseudo_v, r.null_v)}
     write_manifest(os.path.join(out_dir, "manifest_cmrc.txt"), "cmrc", t, classes, manifest_records)
     write_label_csv(os.path.join(out_dir, "pseudo_cmrc.csv"), pseudo_table, classes, t)
-    with open(os.path.join(out_dir, "provenance.csv"), "w", newline="") as fh:
+    with atomic_write(os.path.join(out_dir, "provenance.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROVENANCE_HEADER)
         for r in batch:

@@ -32,8 +32,8 @@ VERSION = 1
 
 def save_checkpoint(path, params) -> None:
     """Write named arrays (or Tensors) to ``path`` in declaration order."""
-    items = [(name, np.ascontiguousarray(getattr(p, "data", p), dtype=np.float64))
-             for name, p in params.items()]
+    items = [(name, np.asarray(getattr(p, "data", p), dtype=np.float64, order="C"))
+             for name, p in params.items()]  # not ascontiguousarray: it makes rank 0 rank 1
     with atomic_write(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<II", VERSION, len(items)))
         for name, arr in items:

@@ -155,7 +155,7 @@ def write_feature_file(path, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise FormatError(f"feature array must be 2-D, got shape {values.shape}")
     t, d = values.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
         fh.write(values.astype("<f4").tobytes())
@@ -352,7 +352,7 @@ def write_manifest(path, split: str, n_segments: int, classes, records) -> None:
     for video_id, audio_path, visual_path, labels in records:
         label_str = ";".join(sorted(labels))
         lines.append(f"video = {video_id}|{audio_path}|{visual_path}|{label_str}")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

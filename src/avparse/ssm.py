@@ -2,14 +2,18 @@
 
 Each scan is one plain function. :func:`selective_scan` and
 :func:`dynamic_mixture` run as single fused graph nodes with hand-derived
-adjoints on one in-place sequential kernel, :func:`linear_scan`; the model
-trains with them. Their oracles, :func:`selective_scan_sequential` and
-:func:`dynamic_mixture_sequential`, compose the same scans step by step from
-primitive autodiff ops. The backward scan reverses the input; the dynamic
-scan soft-mixes every cyclic start position, fused in O(T) on the sequence
-unrolled twice, or composed term by term by its oracle. The scans and the
-block take ``[T, D]`` or ``[B, T, D]``; the fused kernels move time to the
-front and sweep a batch's records together, and the oracles take one record.
+adjoints on one sequential kernel, :func:`linear_scan`, and its reverse
+sweep :func:`linear_scan_adjoint`; the model trains with them. Both sweeps
+run in place in the array they are given and read the decay cyclically, so
+the dynamic scan drives its 2T unrolled steps with the period-T decay and
+scans inside its own state buffer. Their oracles,
+:func:`selective_scan_sequential` and :func:`dynamic_mixture_sequential`,
+compose the same scans step by step from primitive autodiff ops. The
+backward scan reverses the input; the dynamic scan soft-mixes every cyclic
+start position, fused in O(T) on the sequence unrolled twice, or composed
+term by term by its oracle. The scans and the block take ``[T, D]`` or
+``[B, T, D]``; the fused kernels move time to the front and sweep a batch's
+records together, and the oracles take one record.
 """
 
 from __future__ import annotations
@@ -120,22 +124,27 @@ def discretize(delta: Tensor, a_log: Tensor, b_coef: Tensor) -> tuple[Tensor, Te
 
 def linear_scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inclusive scan of ``h_t = a_t h_{t-1} + b_t`` along axis 0 (h_{-1} = 0),
-    one in-place O(T) sweep; ``a`` broadcasts against ``b`` at every step."""
-    h = np.empty_like(b)
-    h[0] = b[0]
+    one O(T) sweep in place: ``b`` is overwritten with the states ``h`` and
+    returned. The decay is read cyclically, ``a[t % len(a)]``, so a period-T
+    decay drives a scan of any length; it broadcasts against ``b`` at every
+    step."""
+    period = a.shape[0]
+    step = np.empty_like(b[0])
     for t in range(1, b.shape[0]):
-        np.multiply(a[t], h[t - 1], out=h[t])
-        h[t] += b[t]
-    return h
+        np.multiply(a[t % period], b[t - 1], out=step)
+        b[t] += step
+    return b
 
 
 def linear_scan_adjoint(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reverse sweep ``dh_t = g_t + a_{t+1} dh_{t+1}``: the gradient of
     :func:`linear_scan`'s input ``b`` given the gradient ``g`` of its output.
-    The sweep runs in place: ``g`` is overwritten with ``dh`` and returned."""
+    Like the scan it reads ``a`` cyclically and runs in place: ``g`` is
+    overwritten with ``dh`` and returned."""
+    period = a.shape[0]
     step = np.empty_like(g[0])
     for t in range(g.shape[0] - 2, -1, -1):
-        np.multiply(a[t + 1], g[t + 1], out=step)
+        np.multiply(a[(t + 1) % period], g[t + 1], out=step)
         g[t] += step
     return g
 
@@ -172,13 +181,17 @@ def _time_first(x: np.ndarray, axis: int = -2) -> np.ndarray:
 _time_back = _time_first  # inverse of _time_first: the swap undoes itself
 
 
-def _discretize_arrays(ud: np.ndarray, dd: np.ndarray, bd: np.ndarray, a_log: Tensor):
-    """``(A, A_bar, B_bar u)`` for the fused nodes, from time-first
-    ``[T, ..., D]`` arrays of ``u``, ``delta`` and ``B``."""
+def _decay(dd: np.ndarray, a_log: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, A_bar)`` for the fused nodes, from the time-first ``[T, ..., D]``
+    array of ``delta``."""
     a_neg = -np.exp(a_log.data)  # [D, N]
-    da = np.exp(dd[..., None] * a_neg)  # [T, ..., D, N]
-    bu = (dd * ud)[..., None] * bd[..., None, :]
-    return a_neg, da, bu
+    da = dd[..., None] * a_neg  # [T, ..., D, N]
+    return a_neg, np.exp(da, out=da)
+
+
+def _b_bar_u(ud: np.ndarray, dd: np.ndarray, bd: np.ndarray, out=None) -> np.ndarray:
+    """``B_bar u`` ``[T, ..., D, N]`` from time-first ``u``, ``delta`` and ``B``."""
+    return np.multiply((dd * ud)[..., None], bd[..., None, :], out=out)
 
 
 def _fused_backward(inputs, arrays, a_neg: np.ndarray, gy: np.ndarray, h_read: np.ndarray,
@@ -209,15 +222,17 @@ def _scan_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
     """
     inputs = (u, delta, b_coef, c_coef, a_log, d_skip)
     ud, dd, bd, cd = (_time_first(t.data) for t in (u, delta, b_coef, c_coef))
-    a_neg, da, bu = _discretize_arrays(ud, dd, bd, a_log)
-    h = linear_scan(da, bu)  # [T, ..., D, N]
+    a_neg, da = _decay(dd, a_log)
+    h = linear_scan(da, _b_bar_u(ud, dd, bd))  # [T, ..., D, N]
     y = np.einsum("t...dn,t...n->t...d", h, cd) + d_skip.data[None, :] * ud
 
     def backward(gy):
         gy = _time_first(gy)
         dh = linear_scan_adjoint(da, gy[..., None] * cd[..., None, :])
-        g_z = np.zeros_like(h)  # gradient through the exp argument of the decay
-        g_z[1:] = dh[1:] * h[:-1] * da[1:]
+        g_z = np.empty_like(h)  # gradient through the exp argument of the decay
+        g_z[0] = 0.0
+        np.multiply(dh[1:], h[:-1], out=g_z[1:])
+        g_z[1:] *= da[1:]
         _fused_backward(inputs, (ud, dd, bd), a_neg, gy, h, 1.0, g_z, dh)
 
     return tt._make(_time_back(y), inputs, backward)
@@ -239,58 +254,76 @@ def _dyn_fused(u: Tensor, delta: Tensor, b_coef: Tensor, c_coef: Tensor,
     The output ``C h_dyn + sum(probs) D u`` is linear in ``probs``, like the
     term-by-term mixture. ``probs`` is ``[..., T]``, one distribution per
     record, so ``CP``, ``P_all`` and the skip weight are per record too.
+
+    The node keeps only the decay, the states ``hs`` and ``h_dyn``: both
+    scans run in place in ``hs`` with the period-T decay read cyclically, and
+    the backward recomputes ``B_bar u`` and ``W1`` by the forward's
+    expressions, so it reads the same bits.
     """
     inputs = (u, delta, b_coef, c_coef, a_log, d_skip)
     ud, dd, bd, cd = (_time_first(t.data) for t in (u, delta, b_coef, c_coef))
     pd = probs.data
     t_len = ud.shape[0]
-    a_neg, da, bu = _discretize_arrays(ud, dd, bd, a_log)
+    a_neg, da = _decay(dd, a_log)
     cp = _time_first(np.cumsum(np.concatenate([pd, pd], axis=-1), axis=-1), -1)  # [2T, ...]
     cp4 = cp[..., None, None]
-    da2 = np.concatenate([da, da])[:, None]  # [2T, 1, ..., D, N]
-    bu2 = np.concatenate([bu, bu])
-    hs = linear_scan(da2, np.stack([bu2, cp4 * bu2], axis=1))  # [2T, 2, ..., D, N]
-    p_all = np.exp(dd.sum(0)[..., None] * a_neg)  # [..., D, N]
-    w = hs[t_len:] - p_all * hs[:t_len]  # [T, 2, ..., D, N]
     cp_t = cp4[:t_len]
-    h_dyn = w[:, 1] - cp_t * w[:, 0]
+    # the scan input [B_bar u; CP B_bar u] of both periods, scanned in place
+    hs = np.empty((2 * t_len, 2) + da.shape[1:])  # [2T, 2, ..., D, N]
+    _b_bar_u(ud, dd, bd, out=hs[:t_len, 0])
+    hs[t_len:, 0] = hs[:t_len, 0]
+    np.multiply(cp4, hs[:, 0], out=hs[:, 1])
+    linear_scan(da[:, None], hs)
+    p_all = np.exp(dd.sum(0)[..., None] * a_neg)  # [..., D, N]
+
+    def window(s: int, out=None) -> np.ndarray:
+        """``W1`` (``s = 0``) or ``W2`` (``s = 1``), in ``out`` or a new buffer."""
+        w = np.multiply(p_all, hs[:t_len, s], out=out)
+        return np.subtract(hs[t_len:, s], w, out=w)
+
+    h_dyn = window(1)
+    w = window(0)
+    h_dyn -= np.multiply(cp_t, w, out=w)
     skip_w = pd.sum(-1)[..., None]  # [..., 1]
     y = np.einsum("t...dn,t...n->t...d", h_dyn, cd) + skip_w * d_skip.data[None, :] * ud
 
     def backward(gy):
         gy = _time_first(gy)
-        g_h = gy[..., None] * cd[..., None, :]  # [T, ..., D, N]
-        # probs enter through CP (scan input and window weight) and the skip weight
-        g_cp_w = np.einsum("t...dn,t...dn->t...", g_h, w[:, 0])
         # The adjoint sweep's input [-P_all g_W; g_W] is built in the buffer
-        # the sweep overwrites, and later gradients reuse its halves, so the
-        # transient memory of a batch stays that of its records one by one.
+        # the sweep overwrites; W1 and g_h pass through its halves first, and
+        # B_bar u and the decay gradients share one more buffer.
         dhs = np.empty(hs.shape)
         g_w = dhs[t_len:]
+        g_h = np.multiply(gy[..., None], cd[..., None, :], out=g_w[:, 1])  # [T, ..., D, N]
+        # probs enter through CP (scan input and window weight) and the skip weight
+        g_cp_w = np.einsum("t...dn,t...dn->t...", g_h, window(0, out=dhs[:t_len, 0]))
         np.multiply(-cp_t, g_h, out=g_w[:, 0])
-        g_w[:, 1] = g_h
-        del g_h
         g_p_all = p_all * -np.einsum("ts...dn,ts...dn->...dn", g_w, hs[:t_len])
         np.multiply(-p_all, g_w, out=dhs[:t_len])
-        linear_scan_adjoint(da2, dhs)
-        # decay gradients, per step and through P_all (d P_all / d z_t = P_all);
-        # a per-step decay is never divided out, as it underflows at large delta
-        g_a2 = np.zeros_like(bu2)
-        np.einsum("ks...dn,ks...dn->k...dn", dhs[1:], hs[:-1], out=g_a2[1:])
-        g_a2[1:] *= da2[1:, 0]
-        g_z = g_a2[:t_len] + g_a2[t_len:]
-        g_z += g_p_all
-        del g_a2
-        g_cp = np.einsum("k...dn,k...dn->k...", dhs[:, 1], bu2)
+        linear_scan_adjoint(da[:, None], dhs)
+        g_a2 = np.empty((2 * t_len,) + hs.shape[2:])
+        bu = _b_bar_u(ud, dd, bd, out=g_a2[t_len:])
+        g_cp = np.concatenate([np.einsum("k...dn,k...dn->k...", dhs[half, 1], bu)
+                               for half in (slice(None, t_len), slice(t_len, None))])
         g_cp[:t_len] -= g_cp_w
         g_cp = np.cumsum(g_cp[::-1], axis=0)[::-1]
+        # decay gradients, per step and through P_all (d P_all / d z_t = P_all);
+        # a per-step decay is never divided out, as it underflows at large delta
+        g_a2[0] = 0.0
+        np.einsum("ks...dn,ks...dn->k...dn", dhs[1:], hs[:-1], out=g_a2[1:])
+        g_a2[1:t_len] *= da[1:]
+        g_a2[t_len:] *= da
+        g_z, g_bu = g_a2[:t_len], g_a2[t_len:]  # the upper half takes g_bu once folded
+        g_z += g_bu
+        g_z += g_p_all
         g_bu2 = dhs[:, 1]  # becomes dhs[:, 0] + CP dhs[:, 1]
         g_bu2 *= cp4
         g_bu2 += dhs[:, 0]
+        np.add(g_bu2[:t_len], g_bu2[t_len:], out=g_bu)
+        del dhs, g_w, g_h, g_bu2
         g_skip = (gy * d_skip.data[None, :] * ud).sum(axis=(0, -1))
         probs._accumulate(_time_back(g_cp[:t_len] + g_cp[t_len:] + g_skip, -1), owned=True)
-        _fused_backward(inputs, (ud, dd, bd), a_neg, gy, h_dyn, skip_w,
-                        g_z, g_bu2[:t_len] + g_bu2[t_len:])
+        _fused_backward(inputs, (ud, dd, bd), a_neg, gy, h_dyn, skip_w, g_z, g_bu)
 
     return tt._make(_time_back(y), (u, delta, b_coef, c_coef, probs, a_log, d_skip), backward)
 

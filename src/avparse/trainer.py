@@ -263,7 +263,10 @@ def _first_nonfinite(outputs) -> tuple[int, str]:
 
 # -- evaluation ----------------------------------------------------------------------
 
-EVAL_CHUNK = 2  # records per no-grad forward; larger chunks raised peak RSS past 10% at T 32
+# Records per no-grad forward. At T 32 a chunk of 4 now peaks at the same RSS
+# as 2 (about 100 MB on long-train, where training sets the peak); whether it
+# is faster is unmeasured at 10 pairs.
+EVAL_CHUNK = 2
 
 
 def record_outputs(net: AVMambaNet, records, texts: TextCache | None) -> list[ModelOutputs]:

@@ -4,6 +4,7 @@ and writer, and atomic replacement of every output file."""
 import os
 import struct
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from avparse.augment import write_cmrc_outputs
 from avparse.checkpoint import load_checkpoint, save_checkpoint
 from avparse.cli import main as cli_main
-from avparse.data import write_label_csv
+from avparse.data import Manifest, write_feature_file, write_label_csv, write_manifest
 from avparse.errors import CheckpointError
 from avparse.metrics import MetricReport
 from avparse.model import AVMambaNet, ModelConfig
@@ -28,7 +30,7 @@ SMALL_MODEL = ModelConfig(n_segments=2, dim=2, n_classes=2, d_state=1, d_audio_i
                           use_mfe=False, use_plsim=False)
 
 names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
-shapes = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
+shapes = st.lists(st.integers(0, 4), max_size=4).map(tuple)
 entries = st.dictionaries(names, shapes.flatmap(lambda shape: arrays(np.float64, shape)),
                           max_size=6)
 
@@ -132,16 +134,43 @@ def fail_train_log(path):
     log.write_csv(path)
 
 
+def fail_feature_file(path):
+    # the magic is written, then T does not fit the header's u32
+    write_feature_file(path, np.empty((2**32, 0)))
+
+
+def fail_manifest(path):
+    write_manifest(path, "train", 1, ["dog"], [("\ud800", "a.avmf", "v.avmf", ["dog"])])
+
+
+def fail_provenance(path):
+    # the manifest and pseudo-label CSV are written, then the provenance CSV
+    # meets a donor id that cannot be encoded
+    donors = Manifest("train", 1, ["dog"], [("a", "a.avmf", "a.avmf", frozenset()),
+                                            ("\ud800", "v.avmf", "v.avmf", frozenset())])
+    ones = np.ones((1, 1))
+    record = SimpleNamespace(video_id="cmrc0", audio_donor="a", visual_donor="\ud800",
+                             video_label=np.ones(1), pseudo_a=ones, null_a=ones,
+                             pseudo_v=ones, null_v=ones)
+    write_cmrc_outputs(str(path.parent), [record], donors, str(path.parent))
+
+
+# the file each writer targets, if not "out", and the files it completes first
+TARGETS = {fail_provenance: ("provenance.csv", ("manifest_cmrc.txt", "pseudo_cmrc.csv"))}
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize("write", [fail_checkpoint, fail_label_csv, fail_report_csv,
-                                       fail_train_log])
+                                       fail_train_log, fail_feature_file, fail_manifest,
+                                       fail_provenance])
     def test_failed_write_keeps_previous_file(self, tmp_path, write):
-        path = tmp_path / "out"
+        name, written_before = TARGETS.get(write, ("out", ()))
+        path = tmp_path / name
         path.write_bytes(b"previous contents\n")
-        with pytest.raises((UnicodeEncodeError, IndexError, ValueError)):
+        with pytest.raises((UnicodeEncodeError, IndexError, ValueError, struct.error)):
             write(path)
         assert path.read_bytes() == b"previous contents\n"
-        assert os.listdir(tmp_path) == ["out"]
+        assert sorted(os.listdir(tmp_path)) == sorted([name, *written_before])
 
     def test_successful_write_replaces_file(self, tmp_path):
         path = tmp_path / "out"

@@ -1,5 +1,7 @@
 """Selective-scan kernels: discretization, oracle equivalence, block behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,11 +122,92 @@ class TestParallelScan:
         for t in range(9):
             h = a[t] * h + b[t]
             expected[t] = h
-        assert np.array_equal(ssm.linear_scan(a, b), expected)
+        assert np.array_equal(ssm.linear_scan(a, b.copy()), expected)
         # the adjoint sweep is the transpose: <g, scan(b)> == <adjoint(g), b>
         g = rng.standard_normal(b.shape)
         assert np.sum(g * expected) == pytest.approx(
             np.sum(ssm.linear_scan_adjoint(a, g) * b), rel=1e-12)
+
+    def test_scans_run_in_place(self, rng):
+        a = rng.uniform(0.1, 0.99, (6, 3))
+        b = rng.standard_normal((6, 3))
+        assert ssm.linear_scan(a, b) is b
+        assert ssm.linear_scan_adjoint(a, b) is b
+
+    def test_period_t_decay_scans_two_periods(self, rng):
+        a = rng.uniform(0.1, 0.99, (5, 1, 3))  # read as a[t % 5]
+        b = rng.standard_normal((10, 2, 3))
+        expected = np.empty_like(b)
+        h = np.zeros_like(b[0])
+        for t in range(10):
+            h = a[t % 5] * h + b[t]
+            expected[t] = h
+        assert np.array_equal(ssm.linear_scan(a, b.copy()), expected)
+
+    def test_period_t_decay_adjoint_two_periods(self, rng):
+        a = rng.uniform(0.1, 0.99, (5, 1, 3))
+        g = rng.standard_normal((10, 2, 3))
+        expected = g.copy()
+        for t in range(8, -1, -1):
+            expected[t] = g[t] + a[(t + 1) % 5] * expected[t + 1]
+        assert np.array_equal(ssm.linear_scan_adjoint(a, g.copy()), expected)
+
+
+class TestDynamicScanMemory:
+    """Bounds on what ``_dyn_fused`` allocates, in units of one
+    ``[T, B, D, N]`` float64 array, the size of its decay (1 MiB here). The
+    kernel before the in-place scans read 14.3 / 11.3 / 18.6 units."""
+
+    T_LEN, BATCH, D_INNER, N_STATE = 32, 2, 128, 16
+    UNIT = T_LEN * BATCH * D_INNER * N_STATE * 8
+
+    def inputs(self, rng):
+        shape = (self.BATCH, self.T_LEN)
+        u, c = (Tensor(rng.standard_normal(shape + (d,)), requires_grad=True)
+                for d in (self.D_INNER, self.N_STATE))
+        delta = Tensor(rng.uniform(1e-3, 0.1, shape + (self.D_INNER,)), requires_grad=True)
+        b = Tensor(rng.standard_normal(shape + (self.N_STATE,)), requires_grad=True)
+        probs = Tensor(np.full(shape, 1.0 / self.T_LEN), requires_grad=True)
+        a_log = Tensor(rng.standard_normal((self.D_INNER, self.N_STATE)), requires_grad=True)
+        d_skip = Tensor(np.ones(self.D_INNER), requires_grad=True)
+        return u, delta, b, c, probs, a_log, d_skip
+
+    def traced(self, run) -> tuple[float, float]:
+        """``run()``'s peak and retained allocation, in units."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del kept
+        return (peak - base) / self.UNIT, (current - base) / self.UNIT
+
+    def test_no_grad_forward_peak(self, rng):
+        inputs = self.inputs(rng)
+
+        def run():
+            with tt.no_grad():
+                return ssm._dyn_fused(*inputs)
+
+        peak, _ = self.traced(run)
+        assert peak <= 8.0
+
+    def test_graph_keeps_at_most_seven_units(self, rng):
+        inputs = self.inputs(rng)
+        _, kept = self.traced(lambda: ssm._dyn_fused(*inputs))
+        assert kept <= 7.0
+
+    def test_backward_peak(self, rng):
+        inputs = self.inputs(rng)
+        probe = Tensor(rng.standard_normal((self.BATCH, self.T_LEN, self.D_INNER)))
+
+        def run():
+            tt.tsum(ssm._dyn_fused(*inputs) * probe).backward()
+
+        peak, _ = self.traced(run)
+        assert peak <= 14.0
 
 
 class TestBackwardScan:
