@@ -296,12 +296,18 @@ def write_label_csv(path, table, vocabulary, n_segments: int) -> None:
                 if entry is None:
                     continue
                 matrix, null_mask = entry if isinstance(entry, tuple) else (entry, None)
-                for t in range(n_segments):
-                    names = [vocabulary[c] for c in np.flatnonzero(matrix[t])]
-                    field = ";".join(names)
-                    if not names and null_mask is not None and not null_mask[t]:
-                        field = EMPTY_TOKEN
-                    writer.writerow([video_id, modality, t, field])
+                if len(matrix) < n_segments:
+                    raise ShapeError(f"{video_id}/{modality}: {len(matrix)} label rows, "
+                                     f"{n_segments} segments")
+                names = [[] for _ in range(n_segments)]
+                rows, cols = np.nonzero(np.asarray(matrix)[:n_segments])
+                for t, c in zip(rows.tolist(), cols.tolist()):
+                    names[t].append(vocabulary[c])
+                fields = [";".join(row) for row in names]
+                if null_mask is not None:
+                    fields = [EMPTY_TOKEN if not row and not null_mask[t] else row
+                              for t, row in enumerate(fields)]
+                writer.writerows([video_id, modality, t, row] for t, row in enumerate(fields))
 
 
 def apply_annotation_patch(records: list[VideoRecord], patch_path, vocabulary) -> list[VideoRecord]:

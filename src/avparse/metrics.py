@@ -5,6 +5,14 @@ event level. Per-video scores are averaged over the split; a video where both
 prediction and ground truth are empty counts as 1.0 (vacuous agreement).
 Events are maximal runs of positive segments, matched greedily one-to-one at
 IoU >= 0.5 with deterministic tie-breaks.
+
+:func:`aggregate_report` scores a whole split in array operations, and the
+per-video functions below are its oracle. Counting pairs is enough there:
+if runs p and g of one class and modality have IoU >= 0.5, then
+|p & g| >= |g| / 2. Two disjoint runs of one column are separated by a gap,
+so they cannot both cover half of one interval. Every run thus has at most
+one partner, the candidate pairs are already one-to-one, and the greedy
+matcher takes every one of them.
 """
 
 from __future__ import annotations
@@ -194,6 +202,59 @@ def event_f1(pred_events, gt_events) -> float:
 # -- aggregation ------------------------------------------------------------------
 
 
+def _runs(on: np.ndarray):
+    """The maximal runs along the last axis of ``on`` [V, C, T], numbered in
+    C order: each cell's 0-based run id (meaningful where ``on``), and each
+    run's video and length."""
+    starts = on.copy()
+    starts[..., 1:] &= ~on[..., :-1]
+    ids = np.cumsum(starts).reshape(on.shape) - 1
+    video = np.nonzero(starts)[0]
+    return ids, video, np.bincount(ids[on])
+
+
+def _event_counts(pred: np.ndarray, gt: np.ndarray):
+    """Per video of ``[V, C, T]`` bool tracks: matches, predicted events and
+    true events. A match is a (pred run, true run) pair at IoU >= 0.5; by the
+    one-partner argument above, their count is the greedy matcher's."""
+    n_videos = len(pred)
+    p_ids, p_video, p_len = _runs(pred)
+    g_ids, g_video, g_len = _runs(gt)
+    both = pred & gt
+    width = max(len(g_len), 1)
+    keys, inter = np.unique(p_ids[both] * width + g_ids[both], return_counts=True)
+    p, g = np.divmod(keys, width)
+    hit = 2 * inter >= p_len[p] + g_len[g] - inter  # inter / union >= IOU_THRESHOLD
+    return (np.bincount(p_video[p[hit]], minlength=n_videos),
+            np.bincount(p_video, minlength=n_videos), np.bincount(g_video, minlength=n_videos))
+
+
+def _f1(hits: np.ndarray, n_pred: np.ndarray, n_true: np.ndarray) -> np.ndarray:
+    """``2.0 * hits / (n_pred + n_true)`` per video, 1.0 where both are empty.
+
+    The integer counts make the denominator exact, so this is bit for bit the
+    oracles' ``2.0 * tp / (2.0 * tp + fp + fn)`` with ``n_pred = tp + fp`` and
+    ``n_true = tp + fn``, and ``event_f1``'s expression."""
+    total = n_pred + n_true
+    return np.where(total == 0, 1.0, 2.0 * hits / np.maximum(total, 1))
+
+
+def _group_scores(pred_a, pred_v, gt_a, gt_v) -> dict:
+    """Every per-video score of one group of same-shape videos, keyed by
+    (level, track); the arguments are ``[V, C, T]`` bool arrays."""
+    scores, events = {}, {}
+    for track, (p, g) in {"a": (pred_a, gt_a), "v": (pred_v, gt_v),
+                          "av": (pred_a & pred_v, gt_a & gt_v),
+                          "pool": (pred_a | pred_v, gt_a | gt_v)}.items():
+        scores["seg", track] = _f1(np.sum(p & g, axis=(1, 2)), np.sum(p, axis=(1, 2)),
+                                   np.sum(g, axis=(1, 2)))
+        if track != "pool":  # Event@AV pools the a and v events, not the union's runs
+            events[track] = _event_counts(p, g)
+            scores["evt", track] = _f1(*events[track])
+    scores["evt", "pool"] = _f1(*(a + v for a, v in zip(events["a"], events["v"], strict=True)))
+    return scores
+
+
 def aggregate_report(predictions: dict, truths: dict) -> MetricReport:
     """Fold per-video scores into the ten-number report.
 
@@ -201,34 +262,40 @@ def aggregate_report(predictions: dict, truths: dict) -> MetricReport:
     video_id to (gt_a, gt_v) arrays. Every predicted video needs ground
     truth; videos with ground truth but no prediction score as all-negative.
     Each level scores every track plus the pooled a|v entry (Event@AV).
+
+    Videos of one shape are stacked and scored together. Each level's mean is
+    taken over the per-video scores in sorted-id order, so the report equals
+    the per-video oracle functions' bit for bit.
     """
     missing = sorted(set(predictions) - set(truths))
     if missing:
         raise EvaluationError(f"no ground truth for predicted videos {missing[:5]}")
     if not truths:
         raise EvaluationError("cannot aggregate over an empty video set")
-    scores = {level: {track: [] for track in (*TRACKS, "pool")} for level in ("seg", "evt")}
-    for video_id in sorted(truths):
+    ids = sorted(truths)
+    groups: dict[tuple, tuple[list, list, list]] = {}  # shape -> positions, preds, truths
+    for i, video_id in enumerate(ids):
         gt = SegmentPrediction(video_id, *truths[video_id])
         pred = predictions.get(video_id)
-        if pred is None:
-            pred = SegmentPrediction(video_id, np.zeros_like(gt.pred_a), np.zeros_like(gt.pred_v))
-        if pred.pred_a.shape != gt.pred_a.shape:
+        if pred is not None and pred.pred_a.shape != gt.pred_a.shape:
             raise EvaluationError(
                 f"{video_id}: prediction shape {pred.pred_a.shape} != truth {gt.pred_a.shape}")
-        pred_events, gt_events = {}, {}
-        for track in TRACKS:
-            p, g = getattr(pred, f"pred_{track}"), getattr(gt, f"pred_{track}")
-            pred_events[track] = extract_events(p, track)
-            gt_events[track] = extract_events(g, track)
-            scores["seg"][track].append(segment_f1(p, g))
-            scores["evt"][track].append(event_f1(pred_events[track], gt_events[track]))
-        scores["seg"]["pool"].append(segment_f1(pred.pred_union, gt.pred_union))
-        scores["evt"]["pool"].append(event_f1(pred_events["a"] + pred_events["v"],
-                                              gt_events["a"] + gt_events["v"]))
+        at, preds, gts = groups.setdefault(gt.pred_a.shape, ([], [], []))
+        at.append(i)
+        preds.append(pred)
+        gts.append(gt)
+    scores = {(level, track): np.empty(len(ids))
+              for level in ("seg", "evt") for track in (*TRACKS, "pool")}
+    for shape, (at, preds, gts) in groups.items():
+        zero = np.zeros(shape[::-1], dtype=bool)  # [C, T]: runs lie along the last axis
+        tracks = [np.stack([zero if video is None else (getattr(video, name) != 0).T
+                            for video in videos])
+                  for videos in (preds, gts) for name in ("pred_a", "pred_v")]
+        for key, values in _group_scores(*tracks).items():
+            scores[key][at] = values
     values = {}
-    for level, per_track in scores.items():
-        means = {track: float(np.mean(v)) for track, v in per_track.items()}
+    for level in ("seg", "evt"):
+        means = {track: float(np.mean(scores[level, track])) for track in (*TRACKS, "pool")}
         values.update({f"{level}_{track}": means[track] for track in TRACKS})
         values[f"{level}_type_at_av"] = (means["a"] + means["v"] + means["av"]) / 3.0
         values[f"{level}_event_at_av"] = means["pool"]

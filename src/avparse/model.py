@@ -116,9 +116,33 @@ def embed_label_sets(label_sets, modality: str, vocabulary, text_dim: int) -> np
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _caption_table(modality: str, vocabulary: tuple, text_dim: int) -> np.ndarray:
+    """Read-only ``[C, text_dim]`` caption embeddings of ``vocabulary``, one
+    row per class, memoized."""
+    prefix = AUDIO_PREFIX if modality == "a" else VISUAL_PREFIX
+    table = np.stack([text_vector(prefix, name, text_dim) for name in vocabulary])
+    table.flags.writeable = False
+    return table
+
+
 def embed_pseudo_matrix(pseudo: np.ndarray, modality: str, vocabulary, text_dim: int) -> np.ndarray:
-    sets = [[vocabulary[c] for c in np.flatnonzero(row)] for row in pseudo]
-    return embed_label_sets(sets, modality, vocabulary, text_dim)
+    """``embed_label_sets`` of each row's nonzero classes, bit for bit.
+
+    Each class present, in ascending order, adds its caption row to the
+    segments that carry it, then each labelled row is divided by its label
+    count: per row, the oracle's additions in the oracle's order."""
+    on = np.asarray(pseudo) != 0
+    if on.ndim != 2 or on.shape[1] != len(vocabulary):
+        raise ShapeError(f"pseudo matrix must be [T, {len(vocabulary)}], got {list(on.shape)}")
+    table = _caption_table(modality, tuple(vocabulary), text_dim)
+    out = np.zeros((len(on), text_dim))
+    for c in np.flatnonzero(on.any(axis=0)):
+        out[on[:, c]] += table[c]
+    counts = on.sum(axis=1)
+    labelled = counts > 0
+    out[labelled] /= counts[labelled, None]
+    return out
 
 
 # -- blocks ----------------------------------------------------------------------

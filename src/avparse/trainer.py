@@ -263,19 +263,32 @@ def _first_nonfinite(outputs) -> tuple[int, str]:
 
 # -- evaluation ----------------------------------------------------------------------
 
-# Records per no-grad forward. At T 32 a chunk of 4 now peaks at the same RSS
-# as 2 (about 100 MB on long-train, where training sets the peak); whether it
-# is faster is unmeasured at 10 pairs.
+# A no-grad forward covers as many records as keep the chunk's [T, d_inner,
+# d_state] scan state within EVAL_STATE_BYTES, and never fewer than
+# EVAL_CHUNK: desk 8, T 32 and paper scale 2. Measured with perfbench on a
+# 2-core machine, one BLAS thread: on desk-train a 2 MiB budget
+# (chunk 12) raised peak RSS from 85.3 to 91.1-93.2 MB and 3 MiB (chunk 19)
+# to 102-105 MB. Without the floor, paper scale would get chunk 1, which lost
+# paper-eval's eval videos/s in both pairs run (26.2 -> 22.1, 28.6 -> 25.2).
 EVAL_CHUNK = 2
+EVAL_STATE_BYTES = 5 * 2**18  # 1.25 MiB
+
+
+def eval_chunk(config: ModelConfig) -> int:
+    """Records per no-grad forward of a net with ``config``."""
+    per_record = 8 * config.n_segments * config.expand * config.dim * config.d_state
+    return max(EVAL_CHUNK, EVAL_STATE_BYTES // per_record)
 
 
 def record_outputs(net: AVMambaNet, records, texts: TextCache | None) -> list[ModelOutputs]:
     """Each record's probabilities, from one no-grad forward per chunk of
-    ``EVAL_CHUNK`` records; they equal ``forward_record``'s bit for bit."""
+    ``eval_chunk(net.config)`` records; they equal ``forward_record``'s bit
+    for bit."""
     out = []
+    size = eval_chunk(net.config)
     with no_grad():
-        for lo in range(0, len(records), EVAL_CHUNK):
-            chunk = records[lo : lo + EVAL_CHUNK]
+        for lo in range(0, len(records), size):
+            chunk = records[lo : lo + size]
             outputs = forward_records(net, chunk, texts)
             out += (outputs.record(i) for i in range(len(chunk)))
     return out

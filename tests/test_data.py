@@ -1,12 +1,13 @@
 """Feature files, label CSVs, patches, manifests, synthetic generation."""
 
+import csv
 import os
 
 import numpy as np
 import pytest
 
 from avparse import data
-from avparse.errors import FormatError, ParseError, PatchError
+from avparse.errors import FormatError, ParseError, PatchError, ShapeError
 
 VOCAB = ["Dog", "Speech", "Violin"]
 
@@ -121,6 +122,50 @@ class TestLabelCsv:
         for vid in table:
             for m in ("a", "v"):
                 assert np.array_equal(back[vid][m][0], table[vid][m])
+
+    @staticmethod
+    def reference_write(path, table, vocabulary, n_segments):
+        """The row-by-row writer that ``write_label_csv`` must match byte for byte."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(data.LABEL_CSV_HEADER)
+            for video_id in sorted(table):
+                for modality in ("a", "v"):
+                    entry = table[video_id].get(modality)
+                    if entry is None:
+                        continue
+                    matrix, null_mask = entry if isinstance(entry, tuple) else (entry, None)
+                    for t in range(n_segments):
+                        names = [vocabulary[c] for c in np.flatnonzero(matrix[t])]
+                        field = ";".join(names)
+                        if not names and null_mask is not None and not null_mask[t]:
+                            field = data.EMPTY_TOKEN
+                        writer.writerow([video_id, modality, t, field])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_writer_bytes_equal_row_by_row_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        t_len = int(rng.integers(1, 8))
+        table = {}
+        for i in range(5):
+            entry = {}
+            for m in ("a", "v"):
+                matrix = (rng.random((t_len, 3)) < rng.choice([0.0, 0.3, 1.0])).astype(float)
+                if rng.random() < 0.5:  # a null mask: some rows unannotated, others NONE
+                    entry[m] = (matrix, rng.random(t_len) < 0.5)
+                else:
+                    entry[m] = matrix
+            if i == 2:  # one video lacks a modality
+                del entry[str(rng.choice(["a", "v"]))]
+            table[f"vid{(7 * i) % 5}_{seed}"] = entry
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        data.write_label_csv(got, table, VOCAB, t_len)
+        self.reference_write(want, table, VOCAB, t_len)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_writer_rejects_matrix_shorter_than_segments(self, tmp_path):
+        with pytest.raises(ShapeError, match="2 label rows, 3 segments"):
+            data.write_label_csv(tmp_path / "l.csv", {"v": {"a": np.ones((2, 3))}}, VOCAB, 3)
 
 
 def make_record(video_id="vid1", t=4, c=3, null_a=(), null_v=()):

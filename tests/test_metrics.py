@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from avparse import metrics
 from avparse.errors import ConfigError, EvaluationError, ParseError, ShapeError
@@ -286,6 +289,76 @@ class TestAggregateReport:
         report = aggregate_report(preds, gt)
         for value in report.as_row():
             assert 0.0 <= value <= 1.0
+
+
+def oracle_report(predictions: dict, truths: dict) -> metrics.MetricReport:
+    """The report composed video by video from the four oracle functions."""
+    scores = {level: {track: [] for track in (*metrics.TRACKS, "pool")}
+              for level in ("seg", "evt")}
+    for video_id in sorted(truths):
+        gt = SegmentPrediction(video_id, *truths[video_id])
+        pred = predictions.get(video_id)
+        if pred is None:
+            pred = SegmentPrediction(video_id, np.zeros_like(gt.pred_a), np.zeros_like(gt.pred_v))
+        pred_events, gt_events = {}, {}
+        for track in metrics.TRACKS:
+            p, g = getattr(pred, f"pred_{track}"), getattr(gt, f"pred_{track}")
+            pred_events[track] = extract_events(p, track)
+            gt_events[track] = extract_events(g, track)
+            scores["seg"][track].append(segment_f1(p, g))
+            scores["evt"][track].append(event_f1(pred_events[track], gt_events[track]))
+        scores["seg"]["pool"].append(segment_f1(pred.pred_union, gt.pred_union))
+        scores["evt"]["pool"].append(event_f1(pred_events["a"] + pred_events["v"],
+                                              gt_events["a"] + gt_events["v"]))
+    values = {}
+    for level, per_track in scores.items():
+        means = {track: float(np.mean(v)) for track, v in per_track.items()}
+        values.update({f"{level}_{track}": means[track] for track in metrics.TRACKS})
+        values[f"{level}_type_at_av"] = (means["a"] + means["v"] + means["av"]) / 3.0
+        values[f"{level}_event_at_av"] = means["pool"]
+    return metrics.MetricReport(**values)
+
+
+@st.composite
+def splits(draw):
+    """Predictions and truths over 1-6 videos of up to two [T, C] shapes, each
+    matrix random, empty or full, in one of three dtypes; some predictions
+    are missing."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                           min_size=1, max_size=2))
+    dtype = draw(st.sampled_from([np.int64, np.float64, np.bool_]))
+
+    def matrix(shape):
+        cells = draw(st.sampled_from(["random", "empty", "full"]))
+        if cells == "random":
+            return draw(arrays(np.bool_, shape)).astype(dtype)
+        return np.full(shape, cells == "full", dtype=dtype)
+
+    predictions, truths = {}, {}
+    for n in draw(st.lists(st.integers(0, 99), min_size=1, max_size=6, unique=True)):
+        video_id, shape = f"vid{n}", draw(st.sampled_from(shapes))
+        truths[video_id] = (matrix(shape), matrix(shape))
+        if draw(st.integers(0, 3)):
+            predictions[video_id] = SegmentPrediction(video_id, matrix(shape), matrix(shape))
+    return predictions, truths
+
+
+class TestSplitScoring:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(splits())
+    def test_equals_per_video_oracle_composition_exactly(self, split):
+        predictions, truths = split
+        assert aggregate_report(predictions, truths) == oracle_report(predictions, truths)
+
+    def test_fixture_equals_oracle_composition_exactly(self):
+        preds, gt = fixture_three_videos()
+        assert aggregate_report(preds, gt) == oracle_report(preds, gt)
+
+    def test_prediction_of_wrong_shape_rejected(self):
+        preds, gt = fixture_three_videos()
+        preds["v2"] = SegmentPrediction("v2", np.zeros((T - 1, C)), np.zeros((T - 1, C)))
+        with pytest.raises(EvaluationError, match="v2: prediction shape"):
+            aggregate_report(preds, gt)
 
 
 class TestDumpRoundTrip:

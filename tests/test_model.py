@@ -9,8 +9,8 @@ from avparse.errors import ContractError, ShapeError, VocabularyError
 from avparse.model import (AVMambaNet, ChannelEnhancement, CrossModalFusion,
                            HybridAttention, MILHead, ModelConfig, ModelOutputs,
                            SemanticConditioning, TemporalSpatialAttention,
-                           _bce_sums, compute_loss, embed_label_sets, film_residual,
-                           text_vector)
+                           _bce_sums, compute_loss, embed_label_sets, embed_pseudo_matrix,
+                           film_residual, text_vector)
 from avparse.tensor import Tensor
 from tests import composites
 
@@ -186,6 +186,31 @@ class TestTextEmbedding:
     def test_unknown_category_rejected(self):
         with pytest.raises(VocabularyError):
             embed_label_sets([{"Spaceship"}], "a", ["Dog"], 8)
+
+    @pytest.mark.parametrize("modality", ["a", "v"])
+    def test_pseudo_matrix_equals_label_set_oracle_bit_for_bit(self, rng, modality):
+        vocabulary = [f"class{c}" for c in range(7)]
+        every = np.ones((5, 7))
+        single = np.zeros((5, 7))
+        single[[0, 3], 4] = 1.0
+        with_empty_rows = (rng.random((6, 7)) < 0.5).astype(float)
+        with_empty_rows[[1, 4]] = 0.0
+        matrices = [np.zeros((5, 7)), every, single, with_empty_rows,
+                    (rng.random((1, 7)) < 0.5).astype(np.int64)]
+        matrices += [rng.random((t, 7)) < density for t, density in
+                     ((10, 0.15), (10, 0.5), (3, 0.9), (12, 0.3))]
+        matrices.append(np.array([[1.0], [0.0], [1.0]]))  # a one-class vocabulary
+        for pseudo in matrices:
+            names = vocabulary[: pseudo.shape[1]]
+            sets = [[names[c] for c in np.flatnonzero(row)] for row in pseudo]
+            expected = embed_label_sets(sets, modality, names, 16)
+            got = embed_pseudo_matrix(pseudo, modality, names, 16)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_pseudo_matrix_of_wrong_width_rejected(self, width):
+        with pytest.raises(ShapeError, match="pseudo matrix"):
+            embed_pseudo_matrix(np.ones((3, width)), "a", ["Dog", "Violin", "Speech"], 8)
 
 
 class TestSemanticConditioning:

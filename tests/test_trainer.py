@@ -357,6 +357,32 @@ class TestNoGradEvaluation:
             assert np.array_equal(preds[record.video_id].pred_v, expected.pred_v)
 
 
+    @pytest.mark.parametrize("config, chunk", [
+        (ModelConfig(), 8), (ModelConfig(n_segments=32), 2), (ModelConfig.paper_scale(), 2),
+    ], ids=["desk", "long", "paper"])
+    def test_eval_chunk_of_benchmark_configs(self, config, chunk):
+        assert trainer_module.eval_chunk(config) == chunk
+
+    def test_desk_chunks_of_8_and_3_equal_per_record_forward(self, monkeypatch):
+        ds = make_synthetic(SynthConfig(seed=3, n_videos=11, n_val=1))
+        net = AVMambaNet(ModelConfig(), seed=0)
+        texts = TextCache(ds.classes, net.config.text_dim)
+        sizes = []
+        forward_records = trainer_module.forward_records
+
+        def spy(net, chunk, texts):
+            sizes.append(len(chunk))
+            return forward_records(net, chunk, texts)
+
+        monkeypatch.setattr(trainer_module, "forward_records", spy)
+        outputs = trainer_module.record_outputs(net, ds.train, texts)
+        assert sizes == [8, 3]
+        for record, quiet in zip(ds.train, outputs, strict=True):
+            alone = forward_record(net, record, texts)
+            for key in ("seg_prob_a", "seg_prob_v", "video_prob"):
+                assert np.array_equal(getattr(quiet, key).data, getattr(alone, key).data)
+
+
 class TestAugmentedTraining:
     def test_multiplier_zero_keeps_base_dataset(self, tiny_dataset):
         records = augmented_records(tiny_dataset.train, TrainConfig(cmrc_multiplier=0.0))
