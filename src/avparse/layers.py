@@ -50,8 +50,7 @@ class Module:
         return out
 
     def reset_grads(self) -> None:
-        for p in self.parameters().values():
-            p.reset_grad()
+        tt.reset_grads(self.parameters().values())
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters().values())

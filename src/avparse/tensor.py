@@ -24,7 +24,9 @@ keeps no other reference to it, so the first gradient to reach a tensor is
 taken as its ``grad`` without a copy; an op that passes its own ``g`` or a
 view of it leaves ``owned`` false and the array is copied. So no two
 tensors' gradients share memory, and ``grad +=`` never writes into an
-array something else holds.
+array something else holds. A packed parameter also holds its view of the
+gradient store (:func:`pack`); ``_matmul_backward`` writes a packed 2-D
+weight's first gradient of a pass into that view and binds ``grad`` to it.
 
 Inside ``with no_grad():`` ops record no graph: their outputs have
 ``requires_grad=False``, no parents and no closure. Evaluation runs under it.
@@ -54,7 +56,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward",
-                 "__weakref__")
+                 "_grad_view", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
@@ -63,6 +65,7 @@ class Tensor:
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._grad_view: Array | None = None  # set by pack
 
     # -- basic introspection ------------------------------------------------
 
@@ -177,8 +180,6 @@ def _wrap(value) -> Tensor:
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``g`` down to ``shape`` (inverse of trailing-dimension broadcast)."""
-    if g.shape == shape:
-        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -217,6 +218,7 @@ def _make(data: Array, parents: tuple[Tensor, ...], backward) -> Tensor:
     out.requires_grad = False
     out._parents = ()
     out._backward = None
+    out._grad_view = None
     if _grad_enabled:
         for p in parents:
             if p.requires_grad:
@@ -317,8 +319,10 @@ def _matmul_data(a: Tensor, b: Tensor) -> Array:
 def _matmul_backward(a: Tensor, b: Tensor, g: Array) -> None:
     a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
     if b.data.ndim == 2:
-        b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
-                      owned=True)
+        # a packed weight's first gradient: the same gemm, into its view
+        out = b._grad_view if b.grad is None and b.requires_grad else None
+        b._accumulate(np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]),
+                                out=out), owned=True)
     else:
         b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g), owned=True)
 
@@ -642,10 +646,12 @@ def pack(params, keep_values: bool = True) -> Array:
     Each parameter's ``data`` is rebound to its view of the store, which holds
     its values, or, with ``keep_values=False``, is left uninitialised for the
     caller to fill. From then on a parameter is changed by writing into its
-    ``data``; rebinding ``data`` would detach it from the store.
+    ``data``; rebinding ``data`` would detach it from the store. Each also gets
+    its ``_grad_view`` of an uninitialised gradient store of the same layout.
     """
     params = list(params)
-    store = np.empty(sum(p.data.size for p in params))
+    size = sum(p.data.size for p in params)
+    store, grads = np.empty(size), np.empty(size)
     offset = 0
     for p in params:
         n = p.data.size
@@ -653,27 +659,31 @@ def pack(params, keep_values: bool = True) -> Array:
         if keep_values:
             view[...] = p.data
         p.data = view
+        p._grad_view = grads[offset : offset + n].reshape(view.shape)
         offset += n
     return store
 
 
-def _store_of(params: dict) -> Array:
-    """The store that ``params`` are views of, in order and filling it, as
-    :func:`pack` leaves them; ``ContractError`` otherwise."""
-    first = next(iter(params.values()), None)
-    store = None if first is None else first.data.base
-    offset = 0
-    for name, p in params.items():
-        if (store is None or store.ndim != 1 or p.data.base is not store
-                or not p.data.flags.c_contiguous
-                or p.data.ctypes.data != store.ctypes.data + 8 * offset):
-            raise ContractError(f"parameter {name!r} is not the next view of one packed "
-                                "store; pack the parameters with tt.pack first")
-        offset += p.data.size
-    if store is None or offset != store.size:
-        raise ContractError(f"the parameters fill {offset} elements of a packed store of "
-                            f"{0 if store is None else store.size}; pass all of them")
-    return store
+def _store_of(params: dict) -> tuple[Array, Array]:
+    """The parameter and gradient stores that ``params`` are views of, in order
+    and filling them, as :func:`pack` leaves them; ``ContractError`` otherwise."""
+    stores = []
+    for views in ([p.data for p in params.values()],
+                  [p._grad_view for p in params.values()]):
+        store = getattr(views[0], "base", None) if views else None
+        offset = 0
+        for name, view in zip(params, views):
+            if (store is None or store.ndim != 1 or getattr(view, "base", None) is not store
+                    or not view.flags.c_contiguous
+                    or view.ctypes.data != store.ctypes.data + 8 * offset):
+                raise ContractError(f"parameter {name!r} is not the next view of one packed "
+                                    "store; pack the parameters with tt.pack first")
+            offset += view.size
+        if store is None or offset != store.size:
+            raise ContractError(f"the parameters fill {offset} elements of a packed store "
+                                f"of {0 if store is None else store.size}; pass all of them")
+        stores.append(store)
+    return stores[0], stores[1]
 
 
 # Elements per AdamW update block: the block's slices of the parameters, m, v,
@@ -686,7 +696,8 @@ class AdamW:
 
     The parameters must already share one store, in ``params`` order, as
     :func:`pack` leaves them (``AVMambaNet`` packs its own); the optimizer
-    updates that store as its ``buffer``, with ``m`` and ``v`` flat too.
+    updates that store as its ``buffer`` from the gradient store
+    ``grad_buffer``, block by block, with ``m`` and ``v`` flat too.
     """
 
     def __init__(self, params, lr: float = 3e-4, betas=(0.9, 0.999), eps: float = 1e-8,
@@ -699,47 +710,27 @@ class AdamW:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self.buffer = _store_of(self.params)
+        self.buffer, self.grad_buffer = _store_of(self.params)
         size = self.buffer.size
-        # per block: (lo, hi, pieces), each piece (param index, slice of its
-        # flat gradient, slice of the block); a one-piece block reads the
-        # gradient in place, a longer one gathers it into scratch
-        self._blocks = []
-        offset = 0
-        for i, p in enumerate(self.params.values()):
-            n = p.data.size
-            for lo in range(offset - offset % ADAMW_BLOCK, offset + n, ADAMW_BLOCK):
-                if lo == len(self._blocks) * ADAMW_BLOCK:
-                    self._blocks.append((lo, min(lo + ADAMW_BLOCK, size), []))
-                start, end = max(lo, offset), min(lo + ADAMW_BLOCK, offset + n)
-                self._blocks[-1][2].append(
-                    (i, slice(start - offset, end - offset), slice(start - lo, end - lo)))
-            offset += n
         self._m = np.zeros(size)
         self._v = np.zeros(size)
-        self._scratch = np.empty((3, min(size, ADAMW_BLOCK)))
+        self._scratch = np.empty((2, min(size, ADAMW_BLOCK)))
 
     def step(self) -> None:
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"parameter {name!r} has no gradient; run backward first")
+            if p.grad is not p._grad_view:  # a gradient that no matmul wrote in place
+                p._grad_view[...] = p.grad
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
         b1, b2, lr, wd = self.beta1, self.beta2, self.lr, self.weight_decay
-        grads = [p.grad.reshape(-1) for p in self.params.values()]
-        for lo, hi, pieces in self._blocks:
-            n = hi - lo
-            gather, t1, t2 = (s[:n] for s in self._scratch)
-            if len(pieces) == 1:
-                i, src, _ = pieces[0]
-                g = grads[i][src]
-            else:
-                for i, src, dst in pieces:
-                    gather[dst] = grads[i][src]
-                g = gather
-            m, v, w = self._m[lo:hi], self._v[lo:hi], self.buffer[lo:hi]
+        for lo in range(0, self.buffer.size, ADAMW_BLOCK):
+            g, m, v, w = (a[lo : lo + ADAMW_BLOCK]
+                          for a in (self.grad_buffer, self._m, self._v, self.buffer))
+            t1, t2 = (s[: g.size] for s in self._scratch)
             # the per-tensor AdamW expressions in their order, as out= ufuncs,
             # so every element gets the bits a per-tensor loop gives it
             m *= b1

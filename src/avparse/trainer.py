@@ -219,17 +219,18 @@ class TextCache:
     def __init__(self, classes, text_dim: int):
         self.classes = list(classes)
         self.text_dim = text_dim
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[str, tuple[VideoRecord, np.ndarray, np.ndarray]] = {}
 
     def get(self, record: VideoRecord) -> tuple[np.ndarray, np.ndarray]:
         hit = self._cache.get(record.video_id)
-        if hit is None:
+        if hit is None or hit[0] is not record:  # a video id may recur in another split
             hit = (
+                record,
                 embed_pseudo_matrix(record.pseudo_a, "a", self.classes, self.text_dim),
                 embed_pseudo_matrix(record.pseudo_v, "v", self.classes, self.text_dim),
             )
             self._cache[record.video_id] = hit
-        return hit
+        return hit[1:]
 
 
 def forward_record(net: AVMambaNet, record: VideoRecord, texts: TextCache | None):
@@ -306,10 +307,12 @@ def predict_records(net: AVMambaNet, records, texts: TextCache | None,
 
 def evaluate_records(net: AVMambaNet, records, gt: dict, classes,
                      theta_seg: float = TrainConfig.theta_seg,
-                     theta_vid: float = TrainConfig.theta_vid) -> MetricReport:
+                     theta_vid: float = TrainConfig.theta_vid,
+                     texts: TextCache | None = None) -> MetricReport:
     if gt is None:
         raise EvaluationError("split has no ground truth to evaluate against")
-    texts = TextCache(classes, net.config.text_dim) if net.config.use_plsim else None
+    if texts is None and net.config.use_plsim:
+        texts = TextCache(classes, net.config.text_dim)
     preds = predict_records(net, records, texts, theta_seg, theta_vid)
     return aggregate_report(preds, gt)
 
@@ -378,17 +381,23 @@ def train(model_config: ModelConfig, train_records, classes,
             running += _train_step(net, optimizer, batch, texts, epoch) * len(batch)
         epoch_loss = running / len(records)
 
-        report = None
+        report, stop = None, False
         if has_val and (epoch % config.eval_every == 0 or epoch == config.epochs - 1):
             report = evaluate_records(net, val_records, val_gt, classes,
-                                      config.theta_seg, config.theta_vid)
+                                      config.theta_seg, config.theta_vid, texts)
+            stop = (config.stop_at_type_av is not None
+                    and report.seg_type_at_av >= config.stop_at_type_av)
             if report.seg_type_at_av > best_score:
                 best_score = report.seg_type_at_av
-                best_state = net.store.copy()
+                if stop or epoch == config.epochs - 1:
+                    best_state = None  # the net as it ends is the best; no snapshot
+                elif best_state is None:
+                    best_state = net.store.copy()
+                else:
+                    np.copyto(best_state, net.store)
         log.entries.append(EpochStats(epoch, epoch_loss, report,
                                       time.perf_counter() - started))
-        if (config.stop_at_type_av is not None and report is not None
-                and report.seg_type_at_av >= config.stop_at_type_av):
+        if stop:
             break
 
     if best_state is not None:

@@ -527,6 +527,73 @@ class TestAdamW:
         with pytest.raises(ContractError, match="pack"):
             AdamW(params)
 
+    def test_pack_gives_gradient_views_of_one_store_that_adamw_reads(self):
+        params = {f"p{i}": Tensor(np.ones(shape), requires_grad=True)
+                  for i, shape in enumerate(self.mixed_shapes())}
+        store = tt.pack(params.values())
+        grads = params["p0"]._grad_view.base
+        assert grads is not store and grads.size == store.size
+        assert not np.shares_memory(grads, store)
+        offset = 0
+        for p in params.values():
+            assert p._grad_view.base is grads and p._grad_view.shape == p.shape
+            assert p._grad_view.ctypes.data == grads[offset:].ctypes.data
+            offset += p.size
+            assert p.grad is None
+        assert AdamW(params).grad_buffer is grads
+
+    def test_matmul_writes_weight_gradients_into_their_views(self, monkeypatch):
+        net, twin = AVMambaNet(ModelConfig(), seed=0), AVMambaNet(ModelConfig(), seed=0)
+        for p in twin.parameters().values():  # the same net, unpacked
+            p.data, p._grad_view = p.data.copy(), None
+        reached = set()
+        backward = tt._matmul_backward
+
+        def recording(a, b, g):
+            if b.data.ndim == 2:
+                reached.add(id(b))
+            backward(a, b, g)
+
+        monkeypatch.setattr(tt, "_matmul_backward", recording)
+        desk_batch_loss(net).backward()
+        desk_batch_loss(twin).backward()
+        params, twins = net.parameters(), twin.parameters()
+        written = [name for name, p in params.items() if p.grad is p._grad_view]
+        assert len(written) > 50  # 84 of the 191 parameters at desk scale
+        assert written == [name for name, p in params.items() if id(p) in reached]
+        for name, p in params.items():
+            assert np.array_equal(p.grad, twins[name].grad), name
+            assert twins[name].grad is not None
+        views = {name: params[name].grad.copy() for name in written}
+        with pytest.raises(ContractError):
+            desk_batch_loss(net).backward()
+        for name in written:  # the refused pass wrote nothing
+            assert np.array_equal(params[name].grad, views[name])
+
+    def test_module_slices_of_the_gradient_store_hold_their_gradients(self):
+        net = AVMambaNet(ModelConfig(), seed=0)
+        opt = AdamW(net.parameters())
+        desk_batch_loss(net).backward(params=opt.params.values())
+        opt.step()
+        modules: dict[str, list] = {}
+        for name, p in opt.params.items():
+            modules.setdefault(name.split(".")[0], []).append(p.grad.reshape(-1))
+        offset = 0
+        for module, grads in modules.items():  # in store order: one run per module
+            flat = np.concatenate(grads)
+            assert np.array_equal(opt.grad_buffer[offset : offset + flat.size], flat), module
+            offset += flat.size
+        assert offset == opt.grad_buffer.size
+
+
+def desk_batch_loss(net: AVMambaNet) -> Tensor:
+    """The training loss of ``net`` on a desk-scale batch of two videos."""
+    ds = make_synthetic(SynthConfig(seed=3, n_videos=2, n_val=0))
+    outputs = forward_records(net, ds.train, TextCache(ds.classes, net.config.text_dim))
+    return compute_loss(outputs, *(np.stack([getattr(r, name) for r in ds.train])
+                                   for name in ("video_label", "pseudo_a", "pseudo_v",
+                                                "null_a", "null_v")))
+
 
 def packed(params: dict) -> dict:
     """``params`` after ``tt.pack``, which ``AdamW`` requires."""

@@ -1,6 +1,8 @@
 """Training loop: determinism, checkpointing, loss calibration, ablations."""
 
+import dataclasses
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -151,6 +153,26 @@ class TestFlatParameters:
         score = evaluate_records(net, tiny_dataset.val, tiny_dataset.gt_val,
                                  tiny_dataset.classes).seg_type_at_av
         assert score == best
+
+    @pytest.mark.parametrize("scores, stop, best", [
+        ([0.1, 0.2, 0.3], None, 2),  # the last epoch is best: no snapshot, no restore
+        ([0.1, 0.3, 0.2], None, 1),  # the snapshot of epoch 0 is refilled at epoch 1
+        ([0.3, 0.1, 0.2, 0.2], None, 0),
+        ([0.1, 0.4, 0.2], 0.35, 1),  # training stops on the best epoch
+    ])
+    def test_returned_store_is_the_best_epochs(self, tiny_dataset, monkeypatch, scores, stop,
+                                               best):
+        stores = []
+
+        def scripted(net, *args, **kwargs):
+            stores.append(net.store.copy())
+            return types.SimpleNamespace(seg_type_at_av=scores[len(stores) - 1])
+
+        monkeypatch.setattr(trainer_module, "evaluate_records", scripted)
+        net, log = tiny_train(tiny_dataset, epochs=len(scores), stop_at_type_av=stop)
+        assert len(log.entries) == len(stores) == (best + 1 if stop else len(scores))
+        assert np.array_equal(net.store, stores[best])
+        assert_views_of(net.parameters().values(), net.store)
 
     @pytest.mark.parametrize("changes", [{}, {"amf_mode": "private", "use_tsa": False}])
     def test_new_net_owns_one_store_that_adamw_updates(self, changes):
@@ -355,6 +377,18 @@ class TestNoGradEvaluation:
             expected = binarize(outputs, video_id=record.video_id)
             assert np.array_equal(preds[record.video_id].pred_a, expected.pred_a)
             assert np.array_equal(preds[record.video_id].pred_v, expected.pred_v)
+
+    def test_text_cache_shared_across_splits_embeds_a_repeated_id_anew(self, tiny_dataset):
+        # train() validates with its training cache; a validation video may
+        # reuse a training video's id with other pseudo labels
+        train_rec = tiny_dataset.train[0]
+        val_rec = dataclasses.replace(tiny_dataset.val[0], video_id=train_rec.video_id)
+        assert not np.array_equal(train_rec.pseudo_a, val_rec.pseudo_a)
+        texts = TextCache(tiny_dataset.classes, 8)
+        texts.get(train_rec)
+        fresh = TextCache(tiny_dataset.classes, 8).get(val_rec)
+        for got, want in zip(texts.get(val_rec), fresh):
+            assert np.array_equal(got, want)
 
 
     @pytest.mark.parametrize("config, chunk", [
