@@ -150,7 +150,9 @@ def embed_pseudo_matrix(pseudo: np.ndarray, modality: str, vocabulary, text_dim:
 
 class TemporalSpatialAttention(Module):
     """Channel weights from segment-pooled features, then temporal weights
-    from channel-pooled maps; both squashed to (0, 1) and applied in sequence."""
+    from channel-pooled maps; both squashed to (0, 1) and applied in sequence.
+    The channel block runs once, on the ``n`` records' avg and max pools
+    stacked as ``2n`` one-segment records, and its two halves are summed."""
 
     def __init__(self, dim: int, rng: np.random.Generator | None, d_state: int, expand: int,
                  d_conv: int):
@@ -162,9 +164,11 @@ class TemporalSpatialAttention(Module):
         self.temporal_proj = self._child("temporal_proj", Linear(2, 1, rng))
 
     def channel_weights(self, x: Tensor) -> Tensor:
-        avg_c = tt.pool(x, axis=-2, kind="avg")
-        max_c = tt.pool(x, axis=-2, kind="max")
-        return tt.sigmoid(self.channel_block(avg_c) + self.channel_block(max_c))
+        lead, d = x.shape[:-2], x.shape[-1]
+        pools = [tt.reshape(tt.pool(x, axis=-2, kind=kind), (int(np.prod(lead)), 1, d))
+                 for kind in ("avg", "max")]
+        both = self.channel_block(tt.concat(pools, axis=0))  # [2n, 1, d]
+        return tt.sigmoid(tt.tsum(tt.reshape(both, (2, *lead, 1, d)), axis=0))
 
     def temporal_weights(self, x: Tensor) -> Tensor:
         pooled = tt.concat([tt.pool(x, axis=-1, kind="avg"), tt.pool(x, axis=-1, kind="max")],
@@ -332,7 +336,9 @@ class HybridAttention(Module):
 
 class MILHead(Module):
     """Shared segment classifier with per-class temporal attention and a
-    two-way modality attention pooled into one video-level probability."""
+    two-way modality attention pooled into one video-level probability.
+    ``g_a`` and ``g_v`` are stacked on a modality axis, ``[..., 2, T, d]``, so
+    each linear map runs once and the modality softmax and sum run along it."""
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator | None):
         super().__init__()
@@ -342,25 +348,18 @@ class MILHead(Module):
         self.mod_score = self._child("mod_score", Linear(dim, n_classes, rng, init_scale=0.1))
 
     def __call__(self, g_a: Tensor, g_v: Tensor) -> ModelOutputs:
-        prob_a = tt.sigmoid(self.classifier(g_a))
-        prob_v = tt.sigmoid(self.classifier(g_v))
-        w_time_a = tt.softmax(self.time_score(g_a), axis=-2)
-        w_time_v = tt.softmax(self.time_score(g_v), axis=-2)
-        mod_logits = tt.concat([
-            self.mod_score(tt.pool(g_a, axis=-2, kind="avg")),
-            self.mod_score(tt.pool(g_v, axis=-2, kind="avg")),
-        ], axis=-2)
-        w_mod = tt.softmax(mod_logits, axis=-2)  # [..., 2, C]
-        pooled = tt.concat([
-            tt.tsum(w_time_a * prob_a, axis=-2, keepdims=True),
-            tt.tsum(w_time_v * prob_v, axis=-2, keepdims=True),
-        ], axis=-2)
-        video_prob = tt.tsum(w_mod * pooled, axis=-2)
-        diagnostics = {
-            "w_time_a": w_time_a.data.copy(),
-            "w_time_v": w_time_v.data.copy(),
-            "w_mod": w_mod.data.copy(),
-        }
+        stacked = (*g_a.shape[:-2], 1, *g_a.shape[-2:])
+        g = tt.concat([tt.reshape(g_a, stacked), tt.reshape(g_v, stacked)], axis=-3)
+        prob = tt.sigmoid(self.classifier(g))  # [..., 2, T, C]
+        w_time = tt.softmax(self.time_score(g), axis=-2)
+        w_mod = tt.softmax(self.mod_score(tt.pool(g, axis=-2, kind="avg")), axis=-3)
+        pooled = tt.tsum(w_time * prob, axis=-2, keepdims=True)  # [..., 2, 1, C], as w_mod
+        video_prob = tt.tsum(w_mod * pooled, axis=(-3, -2))
+        seg_shape = (*g_a.shape[:-1], prob.shape[-1])
+        prob_a, prob_v = (tt.reshape(tt.narrow(prob, -3, m, 1), seg_shape) for m in (0, 1))
+        # views of the forward's own arrays; w_mod is [..., 2, C]
+        diagnostics = {"w_time_a": w_time.data[..., 0, :, :], "w_time_v": w_time.data[..., 1, :, :],
+                       "w_mod": w_mod.data[..., 0, :]}
         return ModelOutputs(prob_a, prob_v, video_prob, diagnostics)
 
 

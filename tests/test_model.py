@@ -24,6 +24,18 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def assert_same_gradients(loss_fns, tensors):
+    """Each loss in ``loss_fns`` gives ``tensors`` the same gradients up to
+    rounding: a stacked call sums a shared weight's gradient in another order."""
+    grads = []
+    for loss_fn in loss_fns:
+        tt.reset_grads(tensors)
+        loss_fn().backward()
+        grads.append([t.grad.copy() for t in tensors])
+    for new, ref in zip(*grads):
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-14)
+
+
 class TestTemporalSpatialAttention:
     def test_zero_input_zero_biases_gives_zero(self, rng):
         tsa = TemporalSpatialAttention(4, rng, d_state=4, expand=2, d_conv=4)
@@ -52,6 +64,25 @@ class TestTemporalSpatialAttention:
         refined = x.data * w
         s = tsa.temporal_weights(Tensor(refined)).data
         assert np.abs(tsa(x).data - refined * s).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [(6, 8), (3, 6, 8)], ids=["record", "batch"])
+    def test_one_channel_block_call_matches_two_bit_for_bit(self, rng, shape):
+        # the stacked [avg; max] call against one block call per pool
+        tsa = TemporalSpatialAttention(8, rng, d_state=4, expand=2, d_conv=4)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        block = tsa.channel_block
+
+        def two_calls():
+            return tt.sigmoid(block(tt.pool(x, axis=-2, kind="avg"))
+                              + block(tt.pool(x, axis=-2, kind="max")))
+
+        weights = tsa.channel_weights(x)
+        assert weights.shape == shape[:-2] + (1, 8)
+        assert np.array_equal(weights.data, two_calls().data)
+        r = Tensor(rng.standard_normal(weights.shape))
+        assert_same_gradients([lambda: tt.tsum(tsa.channel_weights(x) * r),
+                               lambda: tt.tsum(two_calls() * r)],
+                              [x, *tsa.channel_block.parameters().values()])
 
 
 class TestCrossModalFusion:
@@ -333,6 +364,46 @@ class TestMILHead:
         assert np.abs(out.video_prob.data - expected).max() < 1e-10
         # diagnostics expose the attention distributions
         assert np.abs(out.diagnostics["w_mod"].sum(axis=0) - 1.0).max() < 1e-9
+
+    @staticmethod
+    def two_call_head(head, g_a, g_v):
+        """The head with one call per modality per shared map, joined by concats."""
+        prob_a, prob_v = (tt.sigmoid(head.classifier(g)) for g in (g_a, g_v))
+        w_time_a, w_time_v = (tt.softmax(head.time_score(g), axis=-2) for g in (g_a, g_v))
+        w_mod = tt.softmax(tt.concat([head.mod_score(tt.pool(g, axis=-2, kind="avg"))
+                                      for g in (g_a, g_v)], axis=-2), axis=-2)
+        pooled = tt.concat([tt.tsum(w_time_a * prob_a, axis=-2, keepdims=True),
+                            tt.tsum(w_time_v * prob_v, axis=-2, keepdims=True)], axis=-2)
+        video_prob = tt.tsum(w_mod * pooled, axis=-2)
+        return ModelOutputs(prob_a, prob_v, video_prob, {
+            "w_time_a": w_time_a.data, "w_time_v": w_time_v.data, "w_mod": w_mod.data})
+
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)], ids=["record", "batch"])
+    def test_stacked_head_matches_two_call_head_bit_for_bit(self, rng, shape):
+        head = MILHead(8, 6, rng)
+        g_a, g_v = (Tensor(rng.standard_normal(shape) * 2, requires_grad=True) for _ in range(2))
+        out, ref = head(g_a, g_v), self.two_call_head(head, g_a, g_v)
+        for key in ("seg_prob_a", "seg_prob_v", "video_prob"):
+            assert getattr(out, key).shape == getattr(ref, key).shape, key
+            assert np.array_equal(getattr(out, key).data, getattr(ref, key).data), key
+        assert out.diagnostics.keys() == ref.diagnostics.keys()
+        for key, values in ref.diagnostics.items():
+            assert out.diagnostics[key].shape == values.shape, key
+            assert np.array_equal(out.diagnostics[key], values), key
+        # both temporal attentions are views of one forward array, not copies
+        w_time_a, w_time_v = out.diagnostics["w_time_a"], out.diagnostics["w_time_v"]
+        assert w_time_a.base is not None and w_time_a.base is w_time_v.base
+        weights = [Tensor(rng.standard_normal(getattr(out, key).shape))
+                   for key in ("seg_prob_a", "seg_prob_v", "video_prob")]
+
+        def loss(outputs):
+            return (tt.tsum(outputs.seg_prob_a * weights[0])
+                    + tt.tsum(outputs.seg_prob_v * weights[1])
+                    + tt.tsum(outputs.video_prob * weights[2]))
+
+        assert_same_gradients([lambda: loss(head(g_a, g_v)),
+                               lambda: loss(self.two_call_head(head, g_a, g_v))],
+                              [g_a, g_v, *head.parameters().values()])
 
 
 class TestFullModel:

@@ -1,12 +1,16 @@
 """Training loop: determinism, checkpointing, loss calibration, ablations."""
 
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 
+import avparse
 from avparse import tensor as tt
 from avparse import trainer as trainer_module
 from avparse.checkpoint import load_checkpoint, save_checkpoint
@@ -72,6 +76,29 @@ class TestTrainingLoop:
                   checkpoint_path=path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
+        # the seed-7 desk protocol (full AMF), trained in one process per
+        # OpenBLAS thread count
+        script = (
+            "import sys\n"
+            "from avparse.data import SynthConfig, make_synthetic\n"
+            "from avparse.model import ModelConfig\n"
+            "from avparse.trainer import TrainConfig, train\n"
+            "ds = make_synthetic(SynthConfig(seed=7, n_videos=16, n_val=8))\n"
+            "train(ModelConfig(), ds.train, ds.classes, ds.val, ds.gt_val,\n"
+            "      TrainConfig(epochs=2, batch_size=4, seed=7, cmrc_multiplier=0.5,\n"
+            "                  min_count=1), checkpoint_path=sys.argv[1])\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(avparse.__file__)))
+        blobs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads_{threads}.mugc"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_different_seed_different_checkpoint(self, tiny_dataset, tmp_path):
         blobs = []

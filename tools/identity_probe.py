@@ -10,7 +10,12 @@ It pins BLAS to one thread, then runs the seed-7 protocol: a 2-epoch
 desk-scale ``train()`` on 16 training and 8 validation videos (CMRC 0.5,
 batch 4, ``min_count`` 1) with the default ``ModelConfig`` and AMF modes
 full, private and off. For each it prints the epoch losses and the sha256 of
-the checkpoint. Last it prints the sha256 of the default ``scan-check`` and
+the checkpoint. Then, per mode, it prints the forward line: the sha256 of a
+seed-7 desk net's forward outputs (the three probabilities, every ``stages``
+entry and ``diagnostics``) on one fixed batch of 8 training videos, then on
+each of them alone, and the op and node counts of one batch-2 training
+graph. A change that moves only the backward leaves the forward hashes as
+they are. Last it prints the sha256 of the default ``scan-check`` and
 ``grad-check`` output. It is not part of the test suite; it takes under
 ten seconds on one core of a 2-core desk machine.
 """
@@ -26,13 +31,48 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
+import numpy as np  # noqa: E402
+
+from avparse import tensor as tt  # noqa: E402
 from avparse.data import SynthConfig, make_synthetic  # noqa: E402
-from avparse.model import ModelConfig  # noqa: E402
-from avparse.trainer import TrainConfig, train  # noqa: E402
+from avparse.model import AVMambaNet, ModelConfig, compute_loss  # noqa: E402
+from avparse.trainer import (TextCache, TrainConfig, forward_record, forward_records,  # noqa: E402
+                             train)
 
 
 def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def hash_outputs(digest, outputs) -> None:
+    """Add each forward output's name, shape and bytes to ``digest``."""
+    arrays = {"seg_prob_a": outputs.seg_prob_a.data, "seg_prob_v": outputs.seg_prob_v.data,
+              "video_prob": outputs.video_prob.data,
+              **{f"stages.{k}": v.data for k, v in outputs.stages.items()},
+              **{f"diagnostics.{k}": v for k, v in outputs.diagnostics.items()}}
+    for name, values in arrays.items():
+        digest.update(f"{name} {values.shape}".encode())
+        digest.update(np.ascontiguousarray(values).tobytes())
+
+
+def forward_line(mode: str, ds) -> str:
+    """The forward hashes and training-graph size of a seeded desk net."""
+    net = AVMambaNet(ModelConfig(amf_mode=mode), seed=7)
+    texts = TextCache(ds.classes, net.config.text_dim)
+    records = ds.train[:8]
+    batch, alone = hashlib.sha256(), hashlib.sha256()
+    with tt.no_grad():
+        hash_outputs(batch, forward_records(net, records, texts))
+        for record in records:
+            hash_outputs(alone, forward_record(net, record, texts))
+    pair = ds.train[:2]
+    loss = compute_loss(forward_records(net, pair, texts),
+                        *(np.stack([getattr(r, name) for r in pair]) for name in
+                          ("video_label", "pseudo_a", "pseudo_v", "null_a", "null_v")))
+    nodes = tt.graph_tensors(loss)
+    ops = sum(node._backward is not None for node in nodes)
+    return (f"{mode}: forward batch sha256 {batch.hexdigest()} records sha256 "
+            f"{alone.hexdigest()} train graph {ops} ops {len(nodes)} nodes")
 
 
 def main() -> None:
@@ -46,6 +86,8 @@ def main() -> None:
             losses = " ".join(repr(e.loss) for e in log.entries)
             with open(path, "rb") as fh:
                 print(f"{mode}: losses {losses} sha256 {sha256(fh.read())}")
+    for mode in ("full", "private", "off"):
+        print(forward_line(mode, ds))
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for command in ("scan-check", "grad-check"):
         out = subprocess.run([sys.executable, "-m", "avparse", command], env=env,
