@@ -20,6 +20,9 @@ File formats (all versioned, all deterministic given their inputs):
   per video, paths relative to the manifest. ``format``, ``version``,
   ``split``, ``segments`` and ``classes`` each appear exactly once; any other
   key is an error. ``version`` and ``segments`` must be positive integers.
+
+Text files are read and written as UTF-8; a file that is not is a
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -132,10 +135,12 @@ class Manifest:
 @contextmanager
 def atomic_write(path, mode: str = "w", **open_kwargs):
     """Write ``path`` through a new temporary file in the same directory,
-    opened in ``mode`` ("w" or "wb"). When the block finishes, the file
-    replaces ``path`` in one ``os.replace``; when it raises, the file is
-    removed and ``path`` is left as it was."""
+    opened in ``mode`` ("w", as UTF-8 text, or "wb"). When the block
+    finishes, the file replaces ``path`` in one ``os.replace``; when it
+    raises, the file is removed and ``path`` is left as it was."""
     path = os.fspath(path)
+    if "b" not in mode:
+        open_kwargs.setdefault("encoding", "utf-8")
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
     try:
@@ -147,18 +152,37 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         raise
 
 
+@contextmanager
+def read_text(path, **open_kwargs):
+    """``path`` opened as UTF-8 text; a byte sequence that is not UTF-8 is a
+    ``ParseError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8", **open_kwargs) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 # -- feature files ----------------------------------------------------------------
 
 
 def write_feature_file(path, values: np.ndarray) -> None:
+    """Write a ``[T, D]`` array as a feature file. A value that is not finite
+    as float32, which ``read_feature_file`` would reject, is a
+    ``FormatError``, and then no file is written."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise FormatError(f"feature array must be 2-D, got shape {values.shape}")
     t, d = values.shape
+    with np.errstate(over="ignore"):
+        payload = values.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise FormatError(f"{path}: feature values must be finite float32 values "
+                          f"(|x| <= {float(np.finfo(np.float32).max):.6g})")
     with atomic_write(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, t, d))
-        fh.write(values.astype("<f4").tobytes())
+        fh.write(payload.tobytes())
 
 
 def read_feature_file(path) -> np.ndarray:
@@ -214,7 +238,7 @@ def read_label_rows(path) -> list[LabelRow]:
     Every error is a ``ParseError`` naming the path and line.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != LABEL_CSV_HEADER:
             raise ParseError(f"{path}: header must be {','.join(LABEL_CSV_HEADER)}")
@@ -369,7 +393,7 @@ def read_key_values(path) -> list[tuple[int, str, str]]:
     without ``=`` is a ``ParseError``.
     """
     entries = []
-    with open(path) as fh:
+    with read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -397,6 +421,8 @@ def parse_manifest(path) -> Manifest:
             if len(parts) != 4:
                 raise ParseError(f"{path} line {lineno}: video record needs 4 '|' fields")
             vid, audio_path, visual_path, labels_raw = parts
+            if "\0" in audio_path + visual_path:  # no file system takes it
+                raise ParseError(f"{path} line {lineno}: feature path holds a NUL character")
             videos.append((vid, audio_path, visual_path,
                            frozenset(_split_names(labels_raw, f"{path} line {lineno}"))))
         elif key not in MANIFEST_KEYS:

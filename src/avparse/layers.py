@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 
 import numpy as np
 
 from . import tensor as tt
-from .tensor import Tensor
+from .tensor import StackedWeight, Tensor
 
 
 def normal_init(rng: np.random.Generator | None, shape, scale: float | None = None) -> np.ndarray:
@@ -92,3 +93,45 @@ class MLP(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(tt.relu(self.fc1(x)))
+
+
+class Stack:
+    """S member modules of one class run as one module on a leading stream
+    axis: stream ``s`` of the input (axis -3, ``[..., S, T, d]``) goes
+    through member ``s``, in one call per op.
+
+    The stacked module is a shallow copy of the first member in which each
+    parameter is the :class:`~avparse.tensor.StackedWeight` of the members'
+    parameters of that name. It owns none of them: the members stay the
+    registered parameters and stay callable, and a stack is no child of its
+    owner. The stacked module is kept while it is a view of the members'
+    store and their ``data`` is not rebound (``pack`` rebinds it); otherwise
+    it is rebuilt on each call, so it always reads the members' values.
+    """
+
+    def __init__(self, *members: Module):
+        self.members = members
+        self._module = None
+        self._key: list | None = None
+
+    def __call__(self, *args):
+        if self._key is None or any(m.data is not data for m, data in self._key):
+            self._module, weights = _stacked(self.members)
+            live = all(w._grad_stack is not None for w in weights)
+            self._key = [(m, m.data) for w in weights for m in w.members] if live else None
+        return self._module(*args)
+
+
+def _stacked(modules) -> tuple[Module, list[StackedWeight]]:
+    """The stacked module of ``modules`` and its stacked weights."""
+    module = copy.copy(modules[0])
+    module._params, module._children = OrderedDict(), OrderedDict()
+    weights = []
+    for name in modules[0]._params:
+        weights.append(StackedWeight(m._params[name] for m in modules))
+        setattr(module, name, weights[-1])
+    for name in modules[0]._children:
+        child, child_weights = _stacked([m._children[name] for m in modules])
+        setattr(module, name, child)
+        weights += child_weights
+    return module, weights

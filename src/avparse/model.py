@@ -7,8 +7,10 @@ scale/bias residual -> hybrid attention tail -> attentive MIL head.
 
 Every stage is shape-preserving on ``[..., T, d]``: one record is ``[T, d]``
 and a batch ``[B, T, d]``, run by the same code, and each record of a batch
-gets the bits it gets alone. Every stage can be structurally removed for
-ablation studies.
+gets the bits it gets alone. From the text-conditioned stage on (the
+hybrid attention when it is off), the two modalities are one stream of
+``[..., 2, T, d]``, audio first, and each per-modality map runs once on it.
+Every stage can be structurally removed for ablation studies.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import tensor as tt
 from .data import check_binary_matrix
 from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, ShapeError, VocabularyError,
                      check_fields)
-from .layers import MLP, Linear, Module, normal_init
+from .layers import MLP, Linear, Module, Stack, normal_init
 from .ssm import (MambaBlock, SharedMatrixHandle, SsmParams, default_dt_rank,
                   selective_scan, selective_scan_backward, selective_scan_dynamic)
 from .tensor import Tensor
@@ -276,11 +278,14 @@ def film_residual(f: Tensor, scale: Tensor, bias: Tensor) -> Tensor:
 
 
 class SemanticConditioning(Module):
-    """Caption-conditioned scale/bias residual per modality.
+    """Caption-conditioned scale/bias residual per modality, on features
+    ``f`` and caption embeddings ``text`` stacked as ``[..., 2, T, d]`` and
+    ``[..., 2, T, text_dim]`` (audio first).
 
     Four distinct two-layer MLPs map the text embedding to the audio scale,
-    audio bias, visual scale and visual bias. Zeroing all of them makes the
-    module an exact identity.
+    audio bias, visual scale and visual bias. The two scale MLPs run as one
+    stacked MLP (:class:`~avparse.layers.Stack`), and so do the two bias
+    MLPs. Zeroing all of them makes the module an exact identity.
     """
 
     def __init__(self, dim: int, text_dim: int, rng: np.random.Generator | None):
@@ -289,14 +294,11 @@ class SemanticConditioning(Module):
         self.a_bias = self._child("a_bias", MLP(text_dim, dim, dim, rng))
         self.v_scale = self._child("v_scale", MLP(text_dim, dim, dim, rng))
         self.v_bias = self._child("v_bias", MLP(text_dim, dim, dim, rng))
+        self.scale = Stack(self.a_scale, self.v_scale)
+        self.bias = Stack(self.a_bias, self.v_bias)
 
-    def fuse(self, f: Tensor, text: Tensor, scale_mlp: MLP, bias_mlp: MLP) -> Tensor:
-        return film_residual(f, scale_mlp(text), bias_mlp(text))
-
-    def __call__(self, f_a: Tensor, f_v: Tensor, text_a: Tensor, text_v: Tensor):
-        out_a = self.fuse(f_a, text_a, self.a_scale, self.a_bias)
-        out_v = self.fuse(f_v, text_v, self.v_scale, self.v_bias)
-        return out_a, out_v
+    def __call__(self, f: Tensor, text: Tensor) -> Tensor:
+        return film_residual(f, self.scale(text), self.bias(text))
 
 
 class Attention(Module):
@@ -319,7 +321,14 @@ class Attention(Module):
 
 
 class HybridAttention(Module):
-    """Residual self- plus cross-attention, one layer per modality."""
+    """Residual self- plus cross-attention, one layer per modality, on
+    features stacked as ``[..., 2, T, d]`` (audio first):
+    ``g_m = f_m + self_m(f_m, f_m) + cross_m(f_m, f_other)``.
+
+    The two self-attentions run as one stacked attention
+    (:class:`~avparse.layers.Stack`), and so do the two cross-attentions,
+    whose keys and values are the modality axis reversed.
+    """
 
     def __init__(self, dim: int, rng: np.random.Generator | None):
         super().__init__()
@@ -327,18 +336,19 @@ class HybridAttention(Module):
         self.cross_a = self._child("cross_a", Attention(dim, rng))
         self.self_v = self._child("self_v", Attention(dim, rng))
         self.cross_v = self._child("cross_v", Attention(dim, rng))
+        self.self_attn = Stack(self.self_a, self.self_v)
+        self.cross_attn = Stack(self.cross_a, self.cross_v)
 
-    def __call__(self, f_a: Tensor, f_v: Tensor):
-        g_a = f_a + self.self_a(f_a, f_a)[0] + self.cross_a(f_a, f_v)[0]
-        g_v = f_v + self.self_v(f_v, f_v)[0] + self.cross_v(f_v, f_a)[0]
-        return g_a, g_v
+    def __call__(self, f: Tensor) -> Tensor:
+        return f + self.self_attn(f, f)[0] + self.cross_attn(f, tt.reverse(f, axis=-3))[0]
 
 
 class MILHead(Module):
     """Shared segment classifier with per-class temporal attention and a
     two-way modality attention pooled into one video-level probability.
-    ``g_a`` and ``g_v`` are stacked on a modality axis, ``[..., 2, T, d]``, so
-    each linear map runs once and the modality softmax and sum run along it."""
+    It takes the features stacked on a modality axis, ``[..., 2, T, d]``
+    (audio first), so each linear map runs once and the modality softmax and
+    sum run along it."""
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator | None):
         super().__init__()
@@ -347,15 +357,13 @@ class MILHead(Module):
         self.time_score = self._child("time_score", Linear(dim, n_classes, rng, init_scale=0.1))
         self.mod_score = self._child("mod_score", Linear(dim, n_classes, rng, init_scale=0.1))
 
-    def __call__(self, g_a: Tensor, g_v: Tensor) -> ModelOutputs:
-        stacked = (*g_a.shape[:-2], 1, *g_a.shape[-2:])
-        g = tt.concat([tt.reshape(g_a, stacked), tt.reshape(g_v, stacked)], axis=-3)
+    def __call__(self, g: Tensor) -> ModelOutputs:
         prob = tt.sigmoid(self.classifier(g))  # [..., 2, T, C]
         w_time = tt.softmax(self.time_score(g), axis=-2)
         w_mod = tt.softmax(self.mod_score(tt.pool(g, axis=-2, kind="avg")), axis=-3)
         pooled = tt.tsum(w_time * prob, axis=-2, keepdims=True)  # [..., 2, 1, C], as w_mod
         video_prob = tt.tsum(w_mod * pooled, axis=(-3, -2))
-        seg_shape = (*g_a.shape[:-1], prob.shape[-1])
+        seg_shape = (*g.shape[:-3], *prob.shape[-2:])
         prob_a, prob_v = (tt.reshape(tt.narrow(prob, -3, m, 1), seg_shape) for m in (0, 1))
         # views of the forward's own arrays; w_mod is [..., 2, C]
         diagnostics = {"w_time_a": w_time.data[..., 0, :, :], "w_time_v": w_time.data[..., 1, :, :],
@@ -447,13 +455,16 @@ class AVMambaNet(Module):
                 mix = tt.zeros((*t, cfg.dim))
             f_a, f_v = self.mfe(f_a, f_v, mix)
             stages.update(mfe_out_a=f_a, mfe_out_v=f_v)
+        stacked = (*lead, 1, cfg.n_segments, cfg.dim)
+        f = tt.concat([tt.reshape(f_a, stacked), tt.reshape(f_v, stacked)], axis=-3)
         if cfg.use_plsim:
-            ta = Tensor(text_a if text_a is not None else np.zeros((*t, cfg.text_dim)))
-            tv = Tensor(text_v if text_v is not None else np.zeros((*t, cfg.text_dim)))
-            f_a, f_v = self.plsim(f_a, f_v, ta, tv)
-            stages.update(plsim_out_a=f_a, plsim_out_v=f_v)
-        g_a, g_v = self.han(f_a, f_v)
-        outputs = self.mmil(g_a, g_v)
+            text = np.stack([x if x is not None else np.zeros((*t, cfg.text_dim))
+                             for x in (text_a, text_v)], axis=-3)
+            f = self.plsim(f, Tensor(text))
+            # the halves, outside the graph
+            stages.update(plsim_out_a=Tensor(f.data[..., 0, :, :]),
+                          plsim_out_v=Tensor(f.data[..., 1, :, :]))
+        outputs = self.mmil(self.han(f))
         outputs.stages = stages
         return outputs
 

@@ -26,7 +26,8 @@ view of it leaves ``owned`` false and the array is copied. So no two
 tensors' gradients share memory, and ``grad +=`` never writes into an
 array something else holds. A packed parameter also holds its view of the
 gradient store (:func:`pack`); ``_matmul_backward`` writes a packed 2-D
-weight's first gradient of a pass into that view and binds ``grad`` to it.
+weight's first gradient of a pass into that view and binds ``grad`` to it,
+and writes a :class:`StackedWeight`'s into the strided view of its members'.
 
 Inside ``with no_grad():`` ops record no graph: their outputs have
 ``requires_grad=False``, no parents and no closure. Evaluation runs under it.
@@ -51,8 +52,11 @@ def _as_array(values) -> Array:
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is always a C-contiguous float64 array. ``grad`` stays ``None``
-    until a backward pass reaches this tensor.
+    ``data`` is a float64 array, C-contiguous except in a
+    :class:`StackedWeight`, whose ``data`` may be a strided view of the
+    parameter store (``np.matmul`` gives each slice of it the bits it gives a
+    contiguous copy). ``grad`` stays ``None`` until a backward pass reaches
+    this tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_backward",
@@ -317,10 +321,15 @@ def _matmul_data(a: Tensor, b: Tensor) -> Array:
 
 
 def _matmul_backward(a: Tensor, b: Tensor, g: Array) -> None:
-    a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
-    if b.data.ndim == 2:
+    if a.requires_grad:
+        a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
+    if not b.requires_grad:
+        return
+    if isinstance(b, StackedWeight):
+        b._matmul_grad(a.data, g)
+    elif b.data.ndim == 2:
         # a packed weight's first gradient: the same gemm, into its view
-        out = b._grad_view if b.grad is None and b.requires_grad else None
+        out = b._grad_view if b.grad is None else None
         b._accumulate(np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]),
                                 out=out), owned=True)
     else:
@@ -662,6 +671,80 @@ def pack(params, keep_values: bool = True) -> Array:
         p._grad_view = grads[offset : offset + n].reshape(view.shape)
         offset += n
     return store
+
+
+def _strided_stack(arrays, shape) -> Array | None:
+    """``arrays`` as one ``shape`` view with the stream axis first, if they are
+    equal C-contiguous views of one store at a constant distance; else None."""
+    first = arrays[0]
+    if any(a is None or a.base is None or a.base is not first.base or not a.flags.c_contiguous
+           for a in arrays):
+        return None
+    starts = [a.ctypes.data for a in arrays]
+    step = starts[1] - starts[0] if len(arrays) > 1 else first.nbytes
+    if abs(step) < first.nbytes or any(b - a != step for a, b in zip(starts, starts[1:])):
+        return None
+    return np.lib.stride_tricks.as_strided(first, shape, (step, *first.reshape(shape[1:]).strides))
+
+
+class StackedWeight(Tensor):
+    """S member parameters of one shape as one ``[S, ...]`` weight; a 1-D
+    member of ``n`` becomes ``[S, 1, n]``, so it broadcasts over time.
+
+    When the members are views of one store at a constant distance, as
+    :func:`pack` leaves equal modules, ``data`` is a zero-copy strided view
+    of it and ``_grad_stack`` the same view of the gradient store; otherwise
+    ``data`` is a copy and ``_grad_stack`` None. The weight's parents are its
+    members, so ``backward``'s freshness check sees them, and it has no
+    closure: an op hands each member its slice of the gradient
+    (:meth:`_accumulate`). ``matmul``'s gradient is one batched gemm,
+    ``[S, N, d]^T @ [S, N, e]``, written into ``_grad_stack`` when no member
+    has a gradient yet and then bound as each member's ``grad``.
+    """
+
+    __slots__ = ("members", "_grad_stack")
+
+    def __init__(self, members):
+        members = tuple(members)
+        shape = members[0].data.shape
+        if any(m.data.shape != shape for m in members):
+            raise ShapeError(f"stacked members differ in shape: {[m.shape for m in members]}")
+        stacked = (len(members), *((1, *shape) if len(shape) == 1 else shape))
+        data = _strided_stack([m.data for m in members], stacked)
+        grads = None if data is None else _strided_stack([m._grad_view for m in members], stacked)
+        if grads is None:
+            data = np.stack([m.data for m in members]).reshape(stacked)
+        self.data, self._grad_stack = data, grads
+        self.members = members
+        self.requires_grad = any(m.requires_grad for m in members)
+        self.grad = None
+        self.name = None
+        self._parents = members
+        self._backward = None
+        self._grad_view = None
+
+    def _accumulate(self, g: Array, owned: bool = False) -> None:
+        if g.shape != self.data.shape:
+            g = _unbroadcast(g, self.data.shape)
+        for m, part in zip(self.members, g):
+            m._accumulate(part.reshape(m.data.shape))
+
+    def _matmul_grad(self, x: Array, g: Array) -> None:
+        """The gradient of ``x @ self`` given the output's ``g``: stream ``s``
+        of ``x`` and ``g`` is axis -3 (after broadcasting), and its rows are
+        summed in one gemm per stream."""
+        s, d = self.data.shape[:2]
+        x = np.broadcast_to(x, (*g.shape[:-1], d))
+        rows_x, rows_g = (np.moveaxis(v, -3, 0).reshape(s, -1, v.shape[-1]) for v in (x, g))
+        fresh = self._grad_stack is not None and all(
+            m.grad is None and m.requires_grad for m in self.members)
+        out = np.matmul(np.swapaxes(rows_x, -1, -2), rows_g,
+                        out=self._grad_stack if fresh else None)
+        if fresh:
+            for m in self.members:
+                m.grad = m._grad_view
+        else:
+            self._accumulate(out)
 
 
 def _store_of(params: dict) -> tuple[Array, Array]:

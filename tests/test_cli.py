@@ -152,6 +152,31 @@ class TestTrainEvalMetrics:
         err = capsys.readouterr().err
         assert f"{kind}_val.csv line" in err and "'ghost'" in err
 
+    @pytest.mark.parametrize("case", ["config", "manifest", "gt"])
+    def test_non_utf8_input_exit_one(self, dataset_dir, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        train = ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--epochs", "1", "--batch-size", "4", "--dim", "12"]
+        if case == "config":
+            bad = tmp_path / "bad.cfg"
+            bad.write_bytes(b"epochs = 1 # \xff\n")
+            argv = [*train, "--config", str(bad)]
+        elif case == "manifest":
+            bad = data / "manifest_val.txt"
+            bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+            argv = train
+        else:
+            assert main(train) == 0
+            bad = data / "gt_val.csv"
+            bad.write_bytes(bad.read_bytes() + b"v\x80,a,0,\n")
+            argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.mugc"),
+                    "--data", str(data)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "not UTF-8" in err
+
     def test_eval_missing_checkpoint_is_validation_error(self, dataset_dir, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "ghost.mugc"),
                      "--data", str(dataset_dir)])

@@ -55,6 +55,14 @@ class TestFeatureFiles:
         data.write_feature_file(path, values)
         assert data.read_feature_file(path).shape == (10, 128)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan], ids=str)
+    def test_value_not_finite_in_float32_rejected_before_writing(self, tmp_path, value):
+        values = np.zeros((3, 4))
+        values[1, 2] = value
+        with pytest.raises(FormatError, match="finite"):
+            data.write_feature_file(tmp_path / "x.avmf", values)
+        assert not os.listdir(tmp_path)
+
 
 class TestLabelCsv:
     def test_one_hot_row(self, tmp_path):
@@ -272,6 +280,12 @@ class TestManifest:
         lines = path.read_text().splitlines()
         write_lines(path, lines[:4] + [line] + lines[4:])  # right after 'segments = 4'
         with pytest.raises(ParseError, match=message):
+            data.parse_manifest(path)
+
+    def test_nul_in_feature_path_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        data.write_manifest(path, "train", 4, VOCAB, [("vid1", "a\0.avmf", "v", ["Dog"])])
+        with pytest.raises(ParseError, match="m\\.txt line 6: feature path holds a NUL"):
             data.parse_manifest(path)
 
     def test_missing_key_rejected(self, tmp_path):

@@ -24,6 +24,15 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def modality_stack(x_a, x_v):
+    """``x_a`` and ``x_v`` stacked on a modality axis, ``[..., 2, T, d]``: in
+    the graph for tensors, as a constant for arrays."""
+    if not isinstance(x_a, Tensor):
+        return Tensor(np.stack([x_a, x_v], axis=-3))
+    shape = (*x_a.shape[:-2], 1, *x_a.shape[-2:])
+    return tt.concat([tt.reshape(x_a, shape), tt.reshape(x_v, shape)], axis=-3)
+
+
 def assert_same_gradients(loss_fns, tensors):
     """Each loss in ``loss_fns`` gives ``tensors`` the same gradients up to
     rounding: a stacked call sums a shared weight's gradient in another order."""
@@ -34,6 +43,37 @@ def assert_same_gradients(loss_fns, tensors):
         grads.append([t.grad.copy() for t in tensors])
     for new, ref in zip(*grads):
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-14)
+
+
+def packed(module):
+    """``module`` with its parameters in one store, as in a net, so each
+    stacked weight is a view of it."""
+    tt.pack(module.parameters().values())
+    return module
+
+
+def assert_same_halves(stacked, per_modality, inputs, module, rng):
+    """``stacked()`` gives the two halves ``per_modality()`` gives, bit for
+    bit. Under the same upstream gradient, the module's parameters get the
+    same gradients bit for bit, and ``inputs`` the same up to rounding (the
+    stacked stage may sum an input's gradient in another order)."""
+    params = list(module.parameters().values())
+    directions = None
+    runs = []
+    for fn in (per_modality, stacked):
+        tt.reset_grads([*inputs, *params])
+        halves = fn()
+        if directions is None:
+            directions = [Tensor(rng.standard_normal(h.shape)) for h in halves]
+        (tt.tsum(halves[0] * directions[0]) + tt.tsum(halves[1] * directions[1])).backward()
+        runs.append(([h.data for h in halves], [t.grad.copy() for t in (*inputs, *params)]))
+    (ref_out, ref_grads), (out, grads) = runs
+    for half, want in zip(out, ref_out):
+        assert half.shape == want.shape and np.array_equal(half, want)
+    for got, want in zip(grads[len(inputs):], ref_grads[len(inputs):]):
+        assert np.array_equal(got, want)
+    for got, want in zip(grads[: len(inputs)], ref_grads[: len(inputs)]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 class TestTemporalSpatialAttention:
@@ -261,7 +301,7 @@ class TestSemanticConditioning:
         f_v = rng.standard_normal((2, 3))
         text_a = rng.standard_normal((2, 5))
         text_v = rng.standard_normal((2, 5))
-        out_a, out_v = plsim(Tensor(f_a), Tensor(f_v), Tensor(text_a), Tensor(text_v))
+        out_a, out_v = plsim(modality_stack(f_a, f_v), modality_stack(text_a, text_v)).data
 
         def mlp(m, x):
             hidden = np.maximum(x @ m.fc1.w.data + m.fc1.b.data, 0.0)
@@ -269,19 +309,38 @@ class TestSemanticConditioning:
 
         expected_a = f_a * mlp(plsim.a_scale, text_a) + mlp(plsim.a_bias, text_a) + f_a
         expected_v = f_v * mlp(plsim.v_scale, text_v) + mlp(plsim.v_bias, text_v) + f_v
-        assert np.abs(out_a.data - expected_a).max() < 1e-12
-        assert np.abs(out_v.data - expected_v).max() < 1e-12
+        assert np.abs(out_a - expected_a).max() < 1e-12
+        assert np.abs(out_v - expected_v).max() < 1e-12
 
     def test_zeroed_mlps_make_stage_identity(self, rng):
         plsim = SemanticConditioning(4, 6, rng)
         for p in plsim.parameters().values():
             p.data[...] = 0.0
-        f_a = Tensor(rng.standard_normal((3, 4)))
-        f_v = Tensor(rng.standard_normal((3, 4)))
-        out_a, out_v = plsim(f_a, f_v, Tensor(rng.standard_normal((3, 6))),
-                             Tensor(rng.standard_normal((3, 6))))
-        assert np.array_equal(out_a.data, f_a.data)
-        assert np.array_equal(out_v.data, f_v.data)
+        f_a = rng.standard_normal((3, 4))
+        f_v = rng.standard_normal((3, 4))
+        out_a, out_v = plsim(modality_stack(f_a, f_v),
+                             modality_stack(rng.standard_normal((3, 6)),
+                                            rng.standard_normal((3, 6)))).data
+        assert np.array_equal(out_a, f_a)
+        assert np.array_equal(out_v, f_v)
+
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)], ids=["record", "batch"])
+    def test_stacked_stage_matches_per_modality_stage_bit_for_bit(self, rng, shape):
+        plsim = packed(SemanticConditioning(8, 6, rng))
+        f_a, f_v = (Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(2))
+        text_a, text_v = (rng.standard_normal((*shape[:-1], 6)) for _ in range(2))
+
+        def per_modality():
+            """The stage with one call per MLP, on each modality alone."""
+            return [film_residual(f, scale(Tensor(text)), bias(Tensor(text)))
+                    for f, text, scale, bias in ((f_a, text_a, plsim.a_scale, plsim.a_bias),
+                                                 (f_v, text_v, plsim.v_scale, plsim.v_bias))]
+
+        def stacked():
+            out = plsim(modality_stack(f_a, f_v), modality_stack(text_a, text_v))
+            return [tt.reshape(tt.narrow(out, -3, m, 1), shape) for m in (0, 1)]
+
+        assert_same_halves(stacked, per_modality, [f_a, f_v], plsim, rng)
 
 
 class TestHybridAttention:
@@ -316,11 +375,27 @@ class TestHybridAttention:
         han = HybridAttention(3, rng)
         f_a = Tensor(rng.standard_normal((4, 3)))
         f_v = Tensor(rng.standard_normal((4, 3)))
-        g_a, g_v = han(f_a, f_v)
+        g_a, g_v = han(modality_stack(f_a.data, f_v.data)).data
         self_a = han.self_a(f_a, f_a)[0].data
         cross_a = han.cross_a(f_a, f_v)[0].data
-        assert np.abs(g_a.data - (f_a.data + self_a + cross_a)).max() < 1e-12
+        assert np.abs(g_a - (f_a.data + self_a + cross_a)).max() < 1e-12
         assert g_v.shape == (4, 3)
+
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8)], ids=["record", "batch"])
+    def test_stacked_stage_matches_per_modality_stage_bit_for_bit(self, rng, shape):
+        han = packed(HybridAttention(8, rng))
+        f_a, f_v = (Tensor(rng.standard_normal(shape), requires_grad=True) for _ in range(2))
+
+        def per_modality():
+            """The stage with one call per attention, on each modality alone."""
+            return [f_a + han.self_a(f_a, f_a)[0] + han.cross_a(f_a, f_v)[0],
+                    f_v + han.self_v(f_v, f_v)[0] + han.cross_v(f_v, f_a)[0]]
+
+        def stacked():
+            out = han(modality_stack(f_a, f_v))
+            return [tt.reshape(tt.narrow(out, -3, m, 1), shape) for m in (0, 1)]
+
+        assert_same_halves(stacked, per_modality, [f_a, f_v], han, rng)
 
 
 class TestMILHead:
@@ -329,15 +404,15 @@ class TestMILHead:
         for linear in (head.time_score, head.mod_score):
             for p in linear.parameters().values():
                 p.data[...] = 0.0  # uniform softmax everywhere
-        g = Tensor(rng.standard_normal((5, 4)))
-        out = head(g, g)
+        g = rng.standard_normal((5, 4))
+        out = head(modality_stack(g, g))
         expected = out.seg_prob_a.data.mean(axis=0)
         assert np.abs(out.video_prob.data - expected).max() < 1e-12
 
     def test_video_prob_strictly_inside_unit_interval(self, rng):
         head = MILHead(4, 6, rng)
-        out = head(Tensor(rng.standard_normal((5, 4)) * 3),
-                   Tensor(rng.standard_normal((5, 4)) * 3))
+        out = head(modality_stack(rng.standard_normal((5, 4)) * 3,
+                                  rng.standard_normal((5, 4)) * 3))
         assert np.all(out.video_prob.data > 0.0)
         assert np.all(out.video_prob.data < 1.0)
 
@@ -345,7 +420,7 @@ class TestMILHead:
         head = MILHead(3, 2, rng)
         g_a = rng.standard_normal((4, 3))
         g_v = rng.standard_normal((4, 3))
-        out = head(Tensor(g_a), Tensor(g_v))
+        out = head(modality_stack(g_a, g_v))
 
         def lin(linear, x):
             return x @ linear.w.data + linear.b.data
@@ -382,7 +457,7 @@ class TestMILHead:
     def test_stacked_head_matches_two_call_head_bit_for_bit(self, rng, shape):
         head = MILHead(8, 6, rng)
         g_a, g_v = (Tensor(rng.standard_normal(shape) * 2, requires_grad=True) for _ in range(2))
-        out, ref = head(g_a, g_v), self.two_call_head(head, g_a, g_v)
+        out, ref = head(modality_stack(g_a, g_v)), self.two_call_head(head, g_a, g_v)
         for key in ("seg_prob_a", "seg_prob_v", "video_prob"):
             assert getattr(out, key).shape == getattr(ref, key).shape, key
             assert np.array_equal(getattr(out, key).data, getattr(ref, key).data), key
@@ -401,7 +476,7 @@ class TestMILHead:
                     + tt.tsum(outputs.seg_prob_v * weights[1])
                     + tt.tsum(outputs.video_prob * weights[2]))
 
-        assert_same_gradients([lambda: loss(head(g_a, g_v)),
+        assert_same_gradients([lambda: loss(head(modality_stack(g_a, g_v))),
                                lambda: loss(self.two_call_head(head, g_a, g_v))],
                               [g_a, g_v, *head.parameters().values()])
 

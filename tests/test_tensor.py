@@ -11,6 +11,7 @@ import pytest
 from avparse import tensor as tt
 from avparse.data import SynthConfig, make_synthetic
 from avparse.errors import ConfigError, ContractError, ShapeError
+from avparse.layers import Linear, Stack
 from avparse.model import AVMambaNet, ModelConfig, compute_loss
 from avparse.tensor import AdamW, Tensor
 from avparse.trainer import TextCache, forward_record, forward_records
@@ -550,7 +551,9 @@ class TestAdamW:
         backward = tt._matmul_backward
 
         def recording(a, b, g):
-            if b.data.ndim == 2:
+            if isinstance(b, tt.StackedWeight):
+                reached.update(id(m) for m in b.members)
+            elif b.data.ndim == 2:
                 reached.add(id(b))
             backward(a, b, g)
 
@@ -584,6 +587,95 @@ class TestAdamW:
             assert np.array_equal(opt.grad_buffer[offset : offset + flat.size], flat), module
             offset += flat.size
         assert offset == opt.grad_buffer.size
+
+
+def linear_pair(rng, pack: bool) -> list[Linear]:
+    """Two ``Linear(5, 3)`` maps, packed into one store (as in a net) or not."""
+    pair = [Linear(5, 3, rng) for _ in range(2)]
+    if pack:
+        tt.pack(p for m in pair for p in m.parameters().values())
+    return pair
+
+
+class TestStackedWeight:
+    def test_members_of_one_store_give_views_and_others_copies(self):
+        rng = np.random.default_rng(11)
+        pair = linear_pair(rng, pack=False)
+        copies = [tt.StackedWeight(getattr(m, name) for m in pair) for name in ("w", "b")]
+        store = tt.pack(p for m in pair for p in m.parameters().values())
+        views = [tt.StackedWeight(getattr(m, name) for m in pair) for name in ("w", "b")]
+        for copy, view in zip(copies, views):
+            assert np.array_equal(copy.data, view.data)
+            assert copy._grad_stack is None and not np.shares_memory(copy.data, store)
+            assert np.shares_memory(view.data, store) and view._grad_stack is not None
+        assert views[0].shape == (2, 5, 3) and views[1].shape == (2, 1, 3)
+        assert views[0]._parents == (pair[0].w, pair[1].w) and views[0]._backward is None
+        with pytest.raises(ShapeError, match="differ in shape"):
+            tt.StackedWeight([pair[0].w, pair[0].b])
+
+    @pytest.mark.parametrize("pack", [True, False], ids=["view", "copy"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["record", "batch"])
+    def test_gradients_equal_the_members_bit_for_bit(self, pack, lead):
+        """Given the same upstream gradient, the stack gives each member the
+        gradients its own call gives it, and a packed member's weight
+        gradient is its view of the gradient store."""
+        rng = np.random.default_rng(12)
+        pair = linear_pair(rng, pack)
+        params = [p for m in pair for p in m.parameters().values()]
+        x = rng.standard_normal((*lead, 2, 4, 5))
+        direction = rng.standard_normal((*lead, 2, 4, 3))
+        ref_out, ref_x, ref_grads = [], [], []
+        for s, member in enumerate(pair):
+            xs = Tensor(x[..., s, :, :], requires_grad=True)
+            out = member(xs)
+            tt.tsum(out * Tensor(direction[..., s, :, :])).backward()
+            ref_out.append(out.data)
+            ref_x.append(xs.grad)
+            ref_grads += [p.grad.copy() for p in member.parameters().values()]
+        tt.reset_grads(params)
+        for p in params:
+            if p._grad_view is not None:
+                p._grad_view[...] = np.nan  # what the stack does not write stays NaN
+        xs = Tensor(x, requires_grad=True)
+        out = Stack(*pair)(xs)
+        tt.tsum(out * Tensor(direction)).backward()
+        for s in range(2):
+            assert np.array_equal(out.data[..., s, :, :], ref_out[s])
+            assert np.array_equal(xs.grad[..., s, :, :], ref_x[s])
+        for p, ref in zip(params, ref_grads):
+            assert np.array_equal(p.grad, ref)
+        assert all((m.w.grad is m.w._grad_view) is pack for m in pair)
+
+    def test_second_backward_refused_before_it_writes(self):
+        rng = np.random.default_rng(13)
+        pair = linear_pair(rng, pack=True)
+        params = [p for m in pair for p in m.parameters().values()]
+        stack = Stack(*pair)
+        x = Tensor(rng.standard_normal((2, 4, 5)))
+        tt.tsum(stack(x)).backward()
+        before = [p.grad.copy() for p in params]
+        with pytest.raises(ContractError, match="already populated"):
+            tt.tsum(stack(x)).backward()
+        for p, grad in zip(params, before):
+            assert np.array_equal(p.grad, grad)
+
+    def test_stack_reads_the_members_current_values(self):
+        rng = np.random.default_rng(14)
+        pair = linear_pair(rng, pack=False)
+        stack = Stack(*pair)
+        x = Tensor(rng.standard_normal((2, 4, 5)))
+
+        def expected():
+            return np.stack([m(Tensor(x.data[s])).data for s, m in enumerate(pair)])
+
+        assert np.array_equal(stack(x).data, expected())
+        pair[1].w.data[...] *= 2.0  # a copy is rebuilt on each call
+        assert np.array_equal(stack(x).data, expected())
+        store = tt.pack(p for m in pair for p in m.parameters().values())  # rebinds data
+        store *= 0.5
+        assert np.array_equal(stack(x).data, expected())
+        store[...] = 0.0  # the view of the store sees writes into it
+        assert not stack(x).data.any()
 
 
 def desk_batch_loss(net: AVMambaNet) -> Tensor:

@@ -15,7 +15,11 @@ seed-7 desk net's forward outputs (the three probabilities, every ``stages``
 entry and ``diagnostics``) on one fixed batch of 8 training videos, then on
 each of them alone, and the op and node counts of one batch-2 training
 graph. A change that moves only the backward leaves the forward hashes as
-they are. Last it prints the sha256 of the default ``scan-check`` and
+they are. Then, per mode, it prints the backward line: the sha256 of the
+gradient store (every parameter's gradient, in ``parameters()`` order)
+after that graph's backward, then one sha256 (16 hex digits) per top-level
+module's slice of it, so a change shows which modules' gradients moved. Last
+it prints the sha256 of the default ``scan-check`` and
 ``grad-check`` output. It is not part of the test suite; it takes under
 ten seconds on one core of a 2-core desk machine.
 """
@@ -55,8 +59,8 @@ def hash_outputs(digest, outputs) -> None:
         digest.update(np.ascontiguousarray(values).tobytes())
 
 
-def forward_line(mode: str, ds) -> str:
-    """The forward hashes and training-graph size of a seeded desk net."""
+def probe_lines(mode: str, ds) -> tuple[str, str]:
+    """The forward line and the backward line of a seeded desk net."""
     net = AVMambaNet(ModelConfig(amf_mode=mode), seed=7)
     texts = TextCache(ds.classes, net.config.text_dim)
     records = ds.train[:8]
@@ -71,8 +75,17 @@ def forward_line(mode: str, ds) -> str:
                           ("video_label", "pseudo_a", "pseudo_v", "null_a", "null_v")))
     nodes = tt.graph_tensors(loss)
     ops = sum(node._backward is not None for node in nodes)
-    return (f"{mode}: forward batch sha256 {batch.hexdigest()} records sha256 "
-            f"{alone.hexdigest()} train graph {ops} ops {len(nodes)} nodes")
+    forward = (f"{mode}: forward batch sha256 {batch.hexdigest()} records sha256 "
+               f"{alone.hexdigest()} train graph {ops} ops {len(nodes)} nodes")
+    params = net.parameters()
+    loss.backward(params=params.values())
+    slices: dict[str, list[bytes]] = {}
+    for name, p in params.items():
+        slices.setdefault(name.split(".")[0], []).append(p.grad.tobytes())
+    store = sha256(b"".join(b"".join(parts) for parts in slices.values()))
+    modules = " ".join(f"{module} {sha256(b''.join(parts))[:16]}"
+                       for module, parts in slices.items())
+    return forward, f"{mode}: backward store sha256 {store} {modules}"
 
 
 def main() -> None:
@@ -86,8 +99,10 @@ def main() -> None:
             losses = " ".join(repr(e.loss) for e in log.entries)
             with open(path, "rb") as fh:
                 print(f"{mode}: losses {losses} sha256 {sha256(fh.read())}")
-    for mode in ("full", "private", "off"):
-        print(forward_line(mode, ds))
+    lines = [probe_lines(mode, ds) for mode in ("full", "private", "off")]
+    for kind in (0, 1):
+        for pair in lines:
+            print(pair[kind])
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     for command in ("scan-check", "grad-check"):
         out = subprocess.run([sys.executable, "-m", "avparse", command], env=env,
